@@ -26,14 +26,19 @@
 //! [`DistributedPhase::stalled_rounds`] — on clean runs the field is 0
 //! and the bill reduces to the paper's.
 
-use crate::conflict_graph::ConflictGraph;
-use crate::correspondence;
-use crate::reduction::{ReductionConfig, ReductionError};
+use crate::reduction::{
+    run_phases, Acquisition, CallSite, ReductionConfig, ReductionError, Site, Solved,
+};
+use crate::resilient::FaultEvent;
 use crate::simulation::simulate_in_hypergraph;
-use pslocal_cfcolor::{checker, Multicoloring};
-use pslocal_graph::{HyperedgeId, Hypergraph, Palette};
+use crate::sync::lock_unpoisoned;
+use crate::workspace::PhaseWorkspace;
+use pslocal_cfcolor::Multicoloring;
+use pslocal_graph::Hypergraph;
 use pslocal_maxis::{LubyOracle, MaxIsOracle};
+use pslocal_telemetry::{Sink, Telemetry};
 use serde::{Deserialize, Serialize};
+use std::sync::{Mutex, PoisonError};
 
 /// Per-phase record of the distributed run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -93,74 +98,86 @@ pub fn distributed_reduction(
 /// black-box accounting); distributed oracles report their simulator's
 /// round count through [`MaxIsOracle::independent_set_with_rounds`].
 ///
+/// The phases run through the same loop as the reduction drivers
+/// (`crate::reduction`), so a certified oracle is held to the
+/// Lemma 2.1 decay invariant here too.
+///
 /// # Errors
 ///
 /// Returns [`ReductionError::NoLambdaAvailable`] if `oracle` claims no
-/// guarantee (the phase budget `ρ = ⌈λ ln m⌉ + 1` needs a λ), and
+/// guarantee (the phase budget `ρ = ⌈λ ln m⌉ + 1` needs a λ),
 /// [`ReductionError::PhaseBudgetExhausted`] if edges survive the
-/// budget.
+/// budget, and [`ReductionError::DecayViolated`] if a certified
+/// oracle's phase falls short of the decay its λ promises.
 pub fn distributed_reduction_with<O: MaxIsOracle + ?Sized>(
     h: &Hypergraph,
     oracle: &O,
     k: usize,
 ) -> Result<DistributedReduction, ReductionError> {
-    let m = h.edge_count();
-    let mut coloring = Multicoloring::new(h.node_count());
-    let mut residual: Vec<HyperedgeId> = h.edge_ids().collect();
+    let policy = OnLocalSimulator { oracle, phases: Mutex::new(Vec::new()) };
+    let ws = &mut PhaseWorkspace::new();
+    let (outcome, _) =
+        run_phases(h, &policy, ReductionConfig::new(k), &Telemetry::disabled(), None, ws, None)
+            .map_err(|failure| failure.error)?;
+    let phases = policy.phases.into_inner().unwrap_or_else(PoisonError::into_inner);
+    Ok(DistributedReduction {
+        coloring: outcome.reduction.coloring,
+        total_host_rounds: phases.iter().map(|p| p.host_rounds).sum(),
+        total_stalled_rounds: phases.iter().map(|p| p.stalled_rounds).sum(),
+        phases,
+        rho: outcome.reduction.rho,
+    })
+}
 
-    let first_cg = ConflictGraph::build(h, k);
-    let lambda = oracle.lambda_for(first_cg.graph()).ok_or(ReductionError::NoLambdaAvailable)?;
-    let rho = ReductionConfig::rho(lambda, m);
+/// The distributed acquisition policy: one call per phase on the whole
+/// conflict graph, its rounds billed through the host simulation. The
+/// pipeline runs serially and never journals.
+struct OnLocalSimulator<'o, O: ?Sized> {
+    oracle: &'o O,
+    /// Per-phase round accounting, one entry per `solve`.
+    phases: Mutex<Vec<DistributedPhase>>,
+}
 
-    let mut phases = Vec::new();
-    let mut total_host_rounds = 0usize;
-    let mut total_stalled_rounds = 0usize;
-    let mut phase = 0usize;
-    let mut first_cg = Some(first_cg);
-    while !residual.is_empty() && phase < rho {
-        let cg = match first_cg.take() {
-            Some(cg) => cg,
-            None => {
-                let (h_i, _) = h.restrict_edges(&residual);
-                ConflictGraph::build(&h_i, k)
-            }
+impl<O: MaxIsOracle + ?Sized> Acquisition for OnLocalSimulator<'_, O> {
+    type Primary = O;
+
+    fn primary(&self) -> &O {
+        self.oracle
+    }
+
+    fn solve<S: Sink>(
+        &self,
+        site: Site<'_, S>,
+        calls: &mut [u64],
+        _fault: &mut impl FnMut(FaultEvent),
+    ) -> Solved {
+        let CallSite::Phase(cg, _) = site.graph else {
+            // pslocal: allow(panic-path, "run_phases only decomposes with threads > 1, and this pipeline always runs serially")
+            unreachable!("the distributed pipeline runs serially");
         };
-        let sim = simulate_in_hypergraph(&cg);
-        let (set, oracle_rounds) = oracle.independent_set_with_rounds(cg.graph());
+        let sim = simulate_in_hypergraph(cg);
+        let (set, oracle_rounds) = self.oracle.independent_set_with_rounds(cg.graph());
+        site.span.add(site.calls_counter, 1);
+        calls[0] += 1;
         // Rounds the host spent waiting on a slow oracle are dropped
         // rounds — the nodes idled, but the LOCAL clock still ticked.
-        let stalled_rounds = oracle.stalled_steps();
-        let decoded = correspondence::lemma_2_1b(&cg, &set);
-        let phase_colors =
-            correspondence::apply_palette(&decoded.coloring, Palette::phase(k, phase));
-        coloring.merge(&phase_colors);
-        let edges_before = residual.len();
-        residual.retain(|&e| !checker::is_edge_happy(h, &coloring, e));
-
-        let host_rounds = oracle_rounds * sim.rounds_per_conflict_round + stalled_rounds + 2;
-        total_host_rounds += host_rounds;
-        total_stalled_rounds += stalled_rounds;
-        phases.push(DistributedPhase {
-            phase,
-            edges_before,
+        let stalled_rounds = self.oracle.stalled_steps();
+        lock_unpoisoned(&self.phases).push(DistributedPhase {
+            phase: site.phase,
+            edges_before: site.edges,
             oracle_rounds,
             dilation: sim.dilation,
             stalled_rounds,
-            host_rounds,
+            host_rounds: oracle_rounds * sim.rounds_per_conflict_round + stalled_rounds + 2,
         });
-        phase += 1;
+        Solved { accepted: Some((set, 0, 0)), attempts: 1 }
     }
-
-    if !residual.is_empty() {
-        return Err(ReductionError::PhaseBudgetExhausted { rho, remaining_edges: residual.len() });
-    }
-    debug_assert!(checker::is_conflict_free(h, &coloring));
-    Ok(DistributedReduction { coloring, phases, total_host_rounds, total_stalled_rounds, rho })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pslocal_cfcolor::checker;
     use pslocal_graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
     use pslocal_maxis::{FaultKind, FaultPlan, FaultyOracle, WorstWitnessOracle};
     use rand::SeedableRng;

@@ -26,7 +26,6 @@
 //! | `epsilon`     | number | planted-instance uniformity slack (default 0.5)  |
 //! | `oracle`      | string | comma-separated fallback chain (default `greedy`)|
 //! | `kernel`      | string | `auto` \| `csr` \| `bitset`                      |
-//! | `oracle_cache`| bool   | memoize whole-phase oracle answers               |
 //! | `deadline_ms` | number | per-request deadline from submission             |
 //! | `faults`      | string | per-call fault script for the primary oracle     |
 //!
@@ -182,15 +181,6 @@ impl RequestFields {
             Some(JsonValue::Str(_)) => Err(format!("field {key:?} must be a JSON number")),
         }
     }
-
-    fn bool(&self, key: &str) -> Result<bool, String> {
-        match self.find(key) {
-            None => Ok(false),
-            Some(JsonValue::Raw(raw)) if raw == "true" => Ok(true),
-            Some(JsonValue::Raw(raw)) if raw == "false" => Ok(false),
-            _ => Err(format!("field {key:?} must be true or false")),
-        }
-    }
 }
 
 /// Escapes a string for embedding in a JSON result line.
@@ -296,7 +286,6 @@ pub fn parse_request(
 
     let mut base = ReductionConfig::new(k);
     base.kernel = kernel_by_name(fields.str("kernel")?.unwrap_or("auto"))?;
-    base.oracle_cache = fields.bool("oracle_cache")?;
     let config = ResilientConfig { base, ..ResilientConfig::new(k) };
 
     let mut request = ServiceRequest::new(id, inst.hypergraph, chain, config);
@@ -372,14 +361,13 @@ mod tests {
     #[test]
     fn parses_a_full_request_line() {
         let req = parse_request(
-            r#"{"id":"r0","n":48,"m":20,"k":3,"seed":7,"oracle":"greedy,exact","kernel":"csr","oracle_cache":true,"deadline_ms":250}"#,
+            r#"{"id":"r0","n":48,"m":20,"k":3,"seed":7,"oracle":"greedy,exact","kernel":"csr","deadline_ms":250}"#,
             None,
         )
         .expect("parses");
         assert_eq!(req.id, "r0");
         assert_eq!(req.chain.len(), 2);
         assert_eq!(req.deadline, Some(Duration::from_millis(250)));
-        assert!(req.config.base.oracle_cache);
     }
 
     #[test]

@@ -16,22 +16,39 @@
 //! per-phase quantity the experiment suite (T4, F1, F2) tabulates, plus
 //! the [`LocalityBudget`] that certifies the reduction's
 //! polylogarithmic overhead.
+//!
+//! The loop itself (`run_phases`) is shared by every driver: it owns
+//! λ, ρ and the budget, the certified-decay gate, journal replay and
+//! appends, the deadline check, the crash points, the commit, and the
+//! restriction. The drivers differ only in their **acquisition
+//! policy** — how one phase's independent set is obtained at a call
+//! site (the whole conflict graph, or one component of it). The
+//! trusting policy here makes one oracle call and takes the answer;
+//! the resilient policy ([`crate::resilient`]) walks a fallback chain
+//! with retries, validation, and panic isolation; the distributed
+//! pipeline ([`crate::distributed`]) bills each call's LOCAL rounds.
 
 use crate::components::{ComponentExecutor, ParallelismOptions};
 use crate::conflict_graph::{ConflictGraph, ConflictGraphOptions};
 use crate::correspondence;
 use crate::recovery::{
-    self, Checkpointing, DriverKind, JournalPhase, PhaseJournal, RecoveryReport,
+    self, Checkpointing, DriverKind, JournalPhase, PhaseJournal, RecoveryReport, StoredFaultEvent,
 };
-use crate::workspace::{CacheLookup, PhaseWorkspace};
+use crate::resilient::{
+    FaultEvent, FaultEventKind, PartialOutcome, ResilientFailure, ResilientOutcome,
+};
+use crate::workspace::PhaseWorkspace;
 use pslocal_cfcolor::{checker, Multicoloring};
-use pslocal_graph::{HyperedgeId, Hypergraph, IndependentSet, KernelStrategy, Palette};
-use pslocal_maxis::{CrashPoint, MaxIsOracle};
+use pslocal_graph::{
+    BitsetScratch, Graph, HyperedgeId, Hypergraph, IndependentSet, KernelStrategy, Palette,
+};
+use pslocal_maxis::{ApproxGuarantee, CrashPoint, MaxIsOracle};
 use pslocal_slocal::LocalityBudget;
 use pslocal_telemetry::{names, span, Counter, Histogram, Sink, Span, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
+use std::time::Instant;
 
 /// The locality charged to one oracle invocation in the reduction's
 /// [`LocalityBudget`]: `⌈log₂(max(n, 2))⌉` for an `n`-vertex input —
@@ -159,14 +176,6 @@ pub struct ReductionConfig {
     /// phase outputs (the bitset equivalence suite proves it); only the
     /// cost differs.
     pub kernel: KernelStrategy,
-    /// Memoize whole-phase oracle answers by conflict-graph
-    /// fingerprint, so a phase whose conflict graph structurally
-    /// repeats an earlier one skips the oracle call (hits re-verify
-    /// independence on the live graph before being trusted). Off by
-    /// default: with the memo on, telemetry's `oracle_calls` counts
-    /// only real invocations — cache traffic shows up as
-    /// `oracle_cache_hit` / `oracle_cache_miss` instead.
-    pub oracle_cache: bool,
 }
 
 impl ReductionConfig {
@@ -178,7 +187,6 @@ impl ReductionConfig {
             max_phases: None,
             parallelism: ParallelismOptions::serial(),
             kernel: KernelStrategy::Auto,
-            oracle_cache: false,
         }
     }
 
@@ -382,7 +390,7 @@ pub fn reduce_cf_to_maxis_with_workspace<O: MaxIsOracle + ?Sized, S: Sink>(
     tel: &Telemetry<S>,
     ws: &mut PhaseWorkspace,
 ) -> Result<ReductionOutcome, ReductionError> {
-    reduce_trusting_inner(h, oracle, config, tel, None, ws).map(|(outcome, _)| outcome)
+    reduce_trusting(h, oracle, config, tel, None, ws).map(|(outcome, _)| outcome)
 }
 
 /// [`reduce_cf_to_maxis_traced`] with crash-safe checkpointing: every
@@ -407,10 +415,13 @@ pub fn reduce_cf_to_maxis_resumable<O: MaxIsOracle + ?Sized, S: Sink>(
     checkpoint: &Checkpointing,
     tel: &Telemetry<S>,
 ) -> Result<(ReductionOutcome, RecoveryReport), ReductionError> {
-    reduce_trusting_inner(h, oracle, config, tel, Some(checkpoint), &mut PhaseWorkspace::new())
+    reduce_trusting(h, oracle, config, tel, Some(checkpoint), &mut PhaseWorkspace::new())
 }
 
-fn reduce_trusting_inner<O: MaxIsOracle + ?Sized, S: Sink>(
+/// The trusting driver: [`run_phases`] under the [`Trusting`] policy,
+/// keeping only the error of a failure (it has no fault log to
+/// salvage).
+fn reduce_trusting<O: MaxIsOracle + ?Sized, S: Sink>(
     h: &Hypergraph,
     oracle: &O,
     config: ReductionConfig,
@@ -418,37 +429,261 @@ fn reduce_trusting_inner<O: MaxIsOracle + ?Sized, S: Sink>(
     checkpoint: Option<&Checkpointing>,
     ws: &mut PhaseWorkspace,
 ) -> Result<(ReductionOutcome, RecoveryReport), ReductionError> {
+    run_phases(h, &Trusting(oracle), config, tel, checkpoint, ws, None)
+        .map(|(outcome, report)| (outcome.reduction, report))
+        .map_err(|failure| failure.error)
+}
+
+/// Whether `guarantee` holds per instance: exact (λ = 1) and
+/// maximal-IS-based (λ = Δ+1). Only these gate the decay invariant and
+/// the Lemma 2.1 delivery quota. Asymptotic guarantees (clique
+/// removal's O(n/log²n)) and conditional ones (decomposition with
+/// greedy fallback) are measured by the experiments instead.
+pub(crate) fn is_certified(guarantee: ApproxGuarantee) -> bool {
+    matches!(guarantee, ApproxGuarantee::Exact | ApproxGuarantee::MaxDegreePlusOne)
+}
+
+/// The oracle's concrete λ on a phase conflict graph, preferring the
+/// dense route ([`MaxIsOracle::lambda_for_dense`]) when the graph was
+/// built on the bitset kernel, so the budget computation does not
+/// force a CSR materialization.
+pub(crate) fn lambda_for_phase<O: MaxIsOracle + ?Sized>(
+    cg: &ConflictGraph,
+    oracle: &O,
+) -> Option<f64> {
+    if let Some(bits) = cg.bitset() {
+        if let Some(l) = oracle.lambda_for_dense(bits) {
+            return Some(l);
+        }
+    }
+    oracle.lambda_for(cg.graph())
+}
+
+/// The graph one oracle call runs on.
+pub(crate) enum CallSite<'a> {
+    /// The whole phase conflict graph (the serial path). Calls take the
+    /// word-parallel dense kernel
+    /// ([`MaxIsOracle::independent_set_dense`], byte-identical by the
+    /// oracle's dense contract) when the graph was built on the bitset
+    /// route and the oracle supports it. The scratch is state-free
+    /// across calls, so a caught panic mid-kernel cannot poison a retry.
+    Phase(&'a ConflictGraph, &'a mut BitsetScratch),
+    /// One component's induced subgraph (the component path).
+    Component(&'a Graph),
+}
+
+impl CallSite<'_> {
+    /// Asks `oracle` for an independent set of this site's graph.
+    pub(crate) fn call<O: MaxIsOracle + ?Sized>(&mut self, oracle: &O) -> IndependentSet {
+        match self {
+            CallSite::Phase(cg, scratch) => match cg.bitset() {
+                Some(bits) if oracle.supports_dense() => {
+                    oracle.independent_set_dense(bits, scratch)
+                }
+                _ => oracle.independent_set(cg.graph()),
+            },
+            CallSite::Component(sub) => oracle.independent_set(sub),
+        }
+    }
+
+    /// Whether `set` is independent in this site's graph, range-checked
+    /// first (`is_independent_set` panics on out-of-range vertices).
+    pub(crate) fn is_independent(&self, set: &IndependentSet) -> bool {
+        match self {
+            CallSite::Phase(cg, _) => cg.verify_independent(set),
+            CallSite::Component(sub) => {
+                let n = sub.node_count();
+                set.vertices().iter().all(|v| v.index() < n)
+                    && sub.is_independent_set(set.vertices())
+            }
+        }
+    }
+
+    /// `oracle`'s concrete λ on this site's graph.
+    pub(crate) fn lambda<O: MaxIsOracle + ?Sized>(&self, oracle: &O) -> Option<f64> {
+        match self {
+            CallSite::Phase(cg, _) => lambda_for_phase(cg, oracle),
+            CallSite::Component(sub) => oracle.lambda_for(sub),
+        }
+    }
+}
+
+/// One oracle call site of a phase, as an [`Acquisition`] policy sees
+/// it.
+pub(crate) struct Site<'a, S: Sink> {
+    /// The graph the oracle is called on.
+    pub graph: CallSite<'a>,
+    /// The phase being acquired.
+    pub phase: usize,
+    /// The component, on the component path; `None` on the serial path.
+    pub component: Option<usize>,
+    /// Residual hyperedges the site covers: the Lemma 2.1 quota base.
+    /// Every hyperedge's triple block is an `E_edge` clique, so blocks
+    /// never split across components and the residual hyperedges
+    /// partition over them.
+    pub edges: usize,
+    /// Parent of the site's `oracle` spans (the phase or component span).
+    pub span: &'a Span<'a, S>,
+    /// Counter ticked on `span` per oracle call.
+    pub calls_counter: Counter,
+}
+
+/// What an [`Acquisition`] policy got out of one [`Site`].
+pub(crate) struct Solved {
+    /// The accepted set, the chain slot that produced it, and the
+    /// Lemma 2.1 quota enforced on it (0 = none); `None` when every
+    /// attempt was rejected.
+    pub accepted: Option<(IndependentSet, usize, usize)>,
+    /// Oracle calls made at the site.
+    pub attempts: usize,
+}
+
+/// How one phase's independent set is obtained — the only thing the
+/// drivers do differently. [`run_phases`] owns everything else.
+///
+/// A policy holds a **chain** of oracles (slot 0 is the primary). The
+/// primary's λ on the first conflict graph sets the phase budget and
+/// its certification ([`is_certified`]) gates the decay invariant;
+/// [`solve`](Self::solve) is called once per call site
+/// — once per phase on the serial path, once per component on the
+/// component path, possibly concurrently.
+/// The defaults describe a single-oracle chain.
+pub(crate) trait Acquisition: Sync {
+    /// The driver tag journaled in the header.
+    const DRIVER: DriverKind = DriverKind::Trusting;
+
+    /// The primary oracle's type.
+    type Primary: MaxIsOracle + ?Sized;
+
+    /// The primary oracle (slot 0). Only called on a non-empty chain.
+    fn primary(&self) -> &Self::Primary;
+
+    /// The chain's oracles, primary first.
+    fn chain_names(&self) -> Vec<&'static str> {
+        vec![self.primary().name()]
+    }
+
+    /// Repositions every slot's per-call state at its cumulative call
+    /// count after a journal replay ([`MaxIsOracle::resume_at`]).
+    fn resume_at(&self, chain_calls: &[u64]) {
+        self.primary().resume_at(chain_calls[0] as usize);
+    }
+
+    /// Obtains an independent set at `site`, adding each slot's oracle
+    /// invocations to `calls` and reporting every fault to `fault`.
+    fn solve<S: Sink>(
+        &self,
+        site: Site<'_, S>,
+        calls: &mut [u64],
+        fault: &mut impl FnMut(FaultEvent),
+    ) -> Solved;
+}
+
+/// The trusting policy: one oracle, one call per site, no validation.
+/// The paper's analysis assumes every answer is a genuine independent
+/// set of size `≥ |E_i|/λ`, and this policy takes it at its word.
+struct Trusting<'o, O: ?Sized>(&'o O);
+
+impl<O: MaxIsOracle + ?Sized> Acquisition for Trusting<'_, O> {
+    type Primary = O;
+
+    fn primary(&self) -> &O {
+        self.0
+    }
+
+    fn solve<S: Sink>(
+        &self,
+        mut site: Site<'_, S>,
+        calls: &mut [u64],
+        _fault: &mut impl FnMut(FaultEvent),
+    ) -> Solved {
+        let oracle_span = span!(site.span, names::ORACLE, 0);
+        let set = site.graph.call(self.0);
+        oracle_span.sample(Histogram::IndependentSetSize, set.len() as u64);
+        oracle_span.close();
+        site.span.add(site.calls_counter, 1);
+        calls[0] += 1;
+        Solved { accepted: Some((set, 0, 0)), attempts: 1 }
+    }
+}
+
+/// The oracle accounting a run journals and resumes from.
+struct Ledger {
+    /// Cumulative `independent_set` invocations per chain slot: the
+    /// positions [`MaxIsOracle::resume_at`] restores on resume.
+    chain_calls: Vec<u64>,
+    /// Attempts beyond the first, summed over phases.
+    retries: usize,
+    /// Times a later chain slot was engaged.
+    fallbacks: usize,
+    /// Every fault observed, in order. Each entry is mirrored as a
+    /// `fault_events` tick on the root span so a sink can cross-check
+    /// the log length without seeing the log.
+    fault_log: Vec<FaultEvent>,
+}
+
+/// The Theorem 1.1 phase loop behind every driver.
+///
+/// Following the paper, fix λ from the primary oracle on the first
+/// conflict graph (the largest one — λ for Δ+1-type guarantees only
+/// shrinks as edges vanish), set the budget `ρ`, then per phase:
+/// check the deadline, acquire an independent set through `policy`,
+/// commit it by Lemma 2.1, check the decay invariant, journal the
+/// phase, and restrict the conflict graph to the surviving hyperedges.
+/// The four [`CrashPoint`]s bracket those steps. Failures carry the
+/// verified partial progress; the trusting driver keeps only the error.
+///
+/// The decay invariant `|E_{i+1}| ≤ (1 − 1/λ)|E_i|` is enforced only
+/// for a certified primary without a λ override, and only on phases
+/// the primary answered (fallback commits are already annotated in the
+/// fault log). Journal replay re-checks under the same gate.
+#[allow(clippy::result_large_err)]
+pub(crate) fn run_phases<P: Acquisition, S: Sink>(
+    h: &Hypergraph,
+    policy: &P,
+    config: ReductionConfig,
+    tel: &Telemetry<S>,
+    checkpoint: Option<&Checkpointing>,
+    ws: &mut PhaseWorkspace,
+    deadline: Option<Instant>,
+) -> Result<(ResilientOutcome, RecoveryReport), ResilientFailure> {
     let root = span!(tel, names::REDUCTION);
-    let m = h.edge_count();
     let k = config.k;
+    let slots = policy.chain_names().len();
     let mut coloring = Multicoloring::new(h.node_count());
     let mut residual: Vec<HyperedgeId> = h.edge_ids().collect();
+    let mut records: Vec<PhaseRecord> = Vec::new();
+    let mut ledger =
+        Ledger { chain_calls: vec![0; slots], retries: 0, fallbacks: 0, fault_log: Vec::new() };
 
-    // The phase budget needs λ before the first oracle call; use the
-    // oracle's guarantee on the first-phase conflict graph (the largest
-    // one — λ for Δ+1-type guarantees only shrinks as edges vanish).
+    macro_rules! fail {
+        ($error:expr) => {
+            return Err(ResilientFailure {
+                error: $error,
+                partial: PartialOutcome { coloring, residual_edges: residual, records },
+                fault_log: ledger.fault_log,
+            })
+        };
+    }
+
+    if slots == 0 {
+        fail!(ReductionError::RetriesExhausted { phase: 0, attempts: 0 });
+    }
+
     let first_cg =
         ConflictGraph::build_traced(h, k, ConflictGraphOptions::with_kernel(config.kernel), &root);
     let lambda = match config.lambda_override {
         Some(l) => l,
-        None => match lambda_for_phase(&first_cg, oracle) {
+        None => match lambda_for_phase(&first_cg, policy.primary()) {
             Some(l) => l,
-            None => return Err(ReductionError::NoLambdaAvailable),
+            None => fail!(ReductionError::NoLambdaAvailable),
         },
     };
-    let rho = ReductionConfig::rho(lambda, m);
+    let rho = ReductionConfig::rho(lambda, h.edge_count());
     let budget = config.max_phases.unwrap_or(rho).min(rho);
-
-    // The decay invariant is enforced only for oracles whose λ is
-    // rigorous per instance: exact (λ = 1) and maximal-IS-based
-    // (λ = Δ+1) guarantees. Asymptotic guarantees (clique removal's
-    // O(n/log²n)) and conditional ones (decomposition with greedy
-    // fallback) are measured by the experiments instead.
-    let certified = matches!(
-        oracle.guarantee(),
-        pslocal_maxis::ApproxGuarantee::Exact | pslocal_maxis::ApproxGuarantee::MaxDegreePlusOne
-    );
-    let enforce_decay = certified && config.lambda_override.is_none() && lambda >= 1.0;
+    let enforce_decay = is_certified(policy.primary().guarantee())
+        && config.lambda_override.is_none()
+        && lambda >= 1.0;
 
     // Phase-incremental pipeline: `G_k^{i+1}` is the induced subgraph
     // of `G_k^i` on the surviving hyperedges' triple blocks (removing
@@ -456,11 +691,7 @@ fn reduce_trusting_inner<O: MaxIsOracle + ?Sized, S: Sink>(
     // retained CSR rows of the previous graph instead of re-running the
     // construction kernel — see `ConflictGraph::restrict_to_edges`.
     let mut cg = first_cg;
-    let mut records = Vec::new();
     let mut phase = 0usize;
-    // Cumulative oracle calls (single chain slot): the resume position
-    // `MaxIsOracle::resume_at` needs to keep per-call state aligned.
-    let mut oracle_calls = 0u64;
     let mut report = RecoveryReport::default();
     let mut journal: Option<PhaseJournal> = None;
     let crash = checkpoint.and_then(|c| c.crash.as_ref());
@@ -468,45 +699,74 @@ fn reduce_trusting_inner<O: MaxIsOracle + ?Sized, S: Sink>(
     if let Some(ckpt) = checkpoint {
         let ctx = recovery::ReplayCtx {
             h,
-            driver: DriverKind::Trusting,
+            driver: P::DRIVER,
             k,
             lambda,
             rho,
             budget,
             threads: config.parallelism.threads,
             enforce_decay,
-            chain_names: vec![oracle.name()],
+            chain_names: policy.chain_names(),
         };
-        let replayed =
-            recovery::open_or_replay(&ctx, ckpt, &mut cg, &mut coloring, &mut residual, &root)
-                .map_err(|e| ReductionError::CheckpointFailed { message: e.to_string() })?;
+        let replayed = match recovery::open_or_replay(
+            &ctx,
+            ckpt,
+            &mut cg,
+            &mut coloring,
+            &mut residual,
+            &root,
+        ) {
+            Ok(replayed) => replayed,
+            Err(e) => fail!(ReductionError::CheckpointFailed { message: e.to_string() }),
+        };
         phase = replayed.phase;
         records = replayed.records;
-        oracle_calls = replayed.chain_calls[0];
+        // Replayed events re-enter the log (and the mirror counter, so
+        // `fault_events == fault_log.len()` still holds on resume).
+        root.add(Counter::FaultEvents, replayed.fault_log.len() as u64);
+        ledger = Ledger {
+            chain_calls: replayed.chain_calls,
+            retries: replayed.retries as usize,
+            fallbacks: replayed.fallbacks as usize,
+            fault_log: replayed.fault_log,
+        };
         report = replayed.report;
         journal = Some(replayed.journal);
-        oracle.resume_at(oracle_calls as usize);
+        policy.resume_at(&ledger.chain_calls);
     }
 
     while !residual.is_empty() && phase < budget {
+        // Cooperative cancellation: overdue runs stop at the phase
+        // boundary with salvage (whole committed phases only).
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            fail!(ReductionError::DeadlineExceeded { phase });
+        }
         let phase_span = span!(root, names::PHASE, phase);
         let edges_before = residual.len();
+        let phase_log_start = ledger.fault_log.len();
         // The journal stores the conflict graph's fingerprint *at phase
         // start* — the graph the set is about to be chosen on. The
         // dense and CSR routes fingerprint to the same value, so the
         // journal stays kernel-agnostic.
         let cg_fingerprint = journal.as_ref().map(|_| cg.fingerprint());
         recovery::maybe_crash(crash, phase, CrashPoint::MidOracle);
-        let (set, calls) = phase_independent_set(
+        let acquired = acquire_phase(
+            policy,
             &cg,
-            oracle,
+            phase,
+            edges_before,
             config.parallelism,
-            config.oracle_cache,
             ws,
+            &mut ledger,
             &phase_span,
+            &root,
         );
-        oracle_calls += calls as u64;
+        let (set, primary, quota_required) = match acquired {
+            Ok(acquired) => acquired,
+            Err(error) => fail!(error),
+        };
         recovery::maybe_crash(crash, phase, CrashPoint::AfterOracle);
+
         let commit_span = span!(phase_span, names::COMMIT);
         let commit = commit_phase(h, &cg, &set, k, phase, &mut coloring, &mut residual);
         let edges_after = commit.edges_after;
@@ -525,8 +785,8 @@ fn reduce_trusting_inner<O: MaxIsOracle + ?Sized, S: Sink>(
             edges_after,
         });
 
-        if enforce_decay && edges_after > decay_allowed(edges_before, lambda) {
-            return Err(ReductionError::DecayViolated {
+        if primary && enforce_decay && edges_after > decay_allowed(edges_before, lambda) {
+            fail!(ReductionError::DecayViolated {
                 phase,
                 before: edges_before,
                 after: edges_after,
@@ -544,17 +804,20 @@ fn reduce_trusting_inner<O: MaxIsOracle + ?Sized, S: Sink>(
                 set: set.vertices().iter().map(|v| v.index() as u64).collect(),
                 // pslocal: allow(panic-path, "records.push happened unconditionally a few lines up, so last() always exists")
                 record: records.last().expect("just pushed").clone(),
-                // The trusting driver enforces no delivery quota.
-                quota_required: 0,
-                primary: true,
-                chain_calls: vec![oracle_calls],
-                retries: 0,
-                fallbacks: 0,
-                events: Vec::new(),
+                quota_required,
+                primary,
+                chain_calls: ledger.chain_calls.clone(),
+                retries: ledger.retries as u64,
+                fallbacks: ledger.fallbacks as u64,
+                events: ledger.fault_log[phase_log_start..]
+                    .iter()
+                    .map(StoredFaultEvent::from_event)
+                    .collect(),
             };
-            let bytes = j
-                .append_phase(entry)
-                .map_err(|e| ReductionError::CheckpointFailed { message: e.to_string() })?;
+            let bytes = match j.append_phase(entry) {
+                Ok(bytes) => bytes,
+                Err(e) => fail!(ReductionError::CheckpointFailed { message: e.to_string() }),
+            };
             write_span.add(Counter::JournalBytes, bytes);
             write_span.close();
             report.journal_bytes = bytes;
@@ -576,131 +839,179 @@ fn reduce_trusting_inner<O: MaxIsOracle + ?Sized, S: Sink>(
     }
 
     if !residual.is_empty() {
-        return Err(ReductionError::PhaseBudgetExhausted {
+        fail!(ReductionError::PhaseBudgetExhausted {
             rho: budget,
-            remaining_edges: residual.len(),
+            remaining_edges: residual.len()
         });
     }
 
     debug_assert!(checker::is_conflict_free(h, &coloring));
     let total_colors = coloring.total_color_count();
     Ok((
-        ReductionOutcome {
-            coloring,
-            lambda,
-            rho,
-            phases_used: phase,
-            total_colors,
-            records,
-            locality: LocalityBudget {
-                own_locality: 1,
-                oracle_calls: phase,
-                oracle_locality: oracle_locality(h.node_count()),
+        ResilientOutcome {
+            reduction: ReductionOutcome {
+                coloring,
+                lambda,
+                rho,
+                phases_used: phase,
+                total_colors,
+                records,
+                locality: LocalityBudget {
+                    own_locality: 1,
+                    oracle_calls: phase,
+                    oracle_locality: oracle_locality(h.node_count()),
+                },
             },
+            fault_log: ledger.fault_log,
+            retries: ledger.retries,
+            fallbacks_engaged: ledger.fallbacks,
         },
         report,
     ))
 }
 
-/// The oracle's concrete λ on a phase conflict graph, preferring the
-/// dense route ([`MaxIsOracle::lambda_for_dense`]) when the graph was
-/// built on the bitset kernel, so the budget computation does not
-/// force a CSR materialization.
-pub(crate) fn lambda_for_phase<O: MaxIsOracle + ?Sized>(
-    cg: &ConflictGraph,
-    oracle: &O,
-) -> Option<f64> {
-    if let Some(bits) = cg.bitset() {
-        if let Some(l) = oracle.lambda_for_dense(bits) {
-            return Some(l);
-        }
-    }
-    oracle.lambda_for(cg.graph())
-}
-
-/// Obtains one phase's independent set. The serial path (one thread,
-/// or a connected/empty conflict graph) is a single whole-graph oracle
-/// call with the drivers' historical span shape: an `oracle` span
-/// directly under the phase span, indexed 0 — dispatched to the
-/// word-parallel dense kernel ([`MaxIsOracle::independent_set_dense`])
-/// when the graph was built on the bitset route and the oracle
-/// supports it, byte-identical by the oracle's dense contract. With
-/// `threads > 1` and a disconnected conflict graph, each component is
-/// solved concurrently on the [`ComponentExecutor`] — the phase span
-/// gains `components` / `largest_component` counters and one
-/// `component` span per component (each holding its own `oracle`
-/// child), and the per-component sets are merged under the
-/// machine-checked disjointness invariant. `Counter::OracleCalls`
-/// counts every oracle invocation either way.
+/// Obtains one phase's independent set through `policy`.
 ///
-/// With `use_cache`, the workspace's fingerprint-keyed memo is
-/// consulted first: a hit (re-verified independent on the live graph)
-/// answers the phase with **zero** oracle invocations and an
-/// `oracle_cache_hit` count instead of `oracle_calls`; a miss counts
-/// `oracle_cache_miss` and memoizes the serial whole-graph answer.
+/// The serial path (one thread, or a connected/empty conflict graph) is
+/// one [`Site`] on the whole graph, with its `oracle` spans directly
+/// under the phase span. With `threads > 1` and a disconnected conflict
+/// graph, each component is one site on the [`ComponentExecutor`]
+/// (a fault retries only its component, never its siblings): the phase
+/// span gains `components` / `largest_component` counters and one
+/// `component` span per component holding that site's `oracle` spans,
+/// and the per-component sets merge under the machine-checked
+/// disjointness invariant. `Counter::OracleCalls` counts every oracle
+/// invocation either way.
 ///
-/// Returns the set alongside the number of `independent_set`
-/// invocations it consumed (0 cache hit, 1 serial, one per component
-/// parallel) — the quantity the checkpointing layer journals as the
-/// oracle's resume position.
-fn phase_independent_set<O: MaxIsOracle + ?Sized, S: Sink>(
+/// Returns the set, whether the primary answered everywhere, and the
+/// Lemma 2.1 quota enforced on it, which the journal records so replay
+/// re-demands exactly what the run demanded. The component path records
+/// 0: per-component quotas ⌈m_c/λ_c⌉, possibly met by fallback slots,
+/// do not reduce to one whole-graph number. A site whose attempts were
+/// all rejected fails the whole phase — no partial commit, so salvage
+/// stays a whole-phase boundary.
+#[allow(clippy::too_many_arguments)]
+fn acquire_phase<P: Acquisition, S: Sink>(
+    policy: &P,
     cg: &ConflictGraph,
-    oracle: &O,
+    phase: usize,
+    edges_before: usize,
     parallelism: ParallelismOptions,
-    use_cache: bool,
     ws: &mut PhaseWorkspace,
+    ledger: &mut Ledger,
     phase_span: &Span<'_, S>,
-) -> (IndependentSet, usize) {
-    let fingerprint = use_cache.then(|| cg.fingerprint());
-    if let Some(fp) = fingerprint {
-        match ws.cache.get_verified(fp, cg) {
-            CacheLookup::Hit(set) => {
-                phase_span.add(Counter::OracleCacheHits, 1);
-                return (set, 0);
+    root: &Span<'_, S>,
+) -> Result<(IndependentSet, bool, usize), ReductionError> {
+    let Ledger { chain_calls, retries, fallbacks, fault_log } = ledger;
+    // `Err((component, attempts))`: a site had every attempt rejected.
+    let acquired = 'acquire: {
+        if parallelism.is_parallel() {
+            let exec = ComponentExecutor::new(cg.graph(), parallelism);
+            if exec.should_decompose() {
+                let parts = exec.partition().len();
+                phase_span.add(Counter::Components, parts as u64);
+                phase_span.add(Counter::LargestComponent, exec.partition().largest_size() as u64);
+                let mut comp_edges = vec![0usize; parts];
+                for e in cg.hypergraph().edge_ids() {
+                    comp_edges[exec.partition().component_of(cg.block_start(e))] += 1;
+                }
+                let slots = chain_calls.len();
+                let results = exec.run(|c, sub| {
+                    let comp_span = span!(phase_span, names::COMPONENT, c);
+                    let site = Site {
+                        graph: CallSite::Component(sub),
+                        phase,
+                        component: Some(c),
+                        edges: comp_edges[c],
+                        span: &comp_span,
+                        calls_counter: Counter::ParallelOracleCalls,
+                    };
+                    let mut calls = vec![0u64; slots];
+                    let mut events = Vec::new();
+                    let solved = policy.solve(site, &mut calls, &mut |ev| events.push(ev));
+                    (solved, calls, events)
+                });
+                // Aggregate in component-id order: the fault log, counters,
+                // and merge result are deterministic regardless of how
+                // workers interleaved.
+                let mut total_attempts = 0usize;
+                let mut accepted_count = 0usize;
+                let mut all_primary = true;
+                let mut first_failed: Option<usize> = None;
+                let mut locals = Vec::with_capacity(parts);
+                for (c, (solved, calls, events)) in results.into_iter().enumerate() {
+                    total_attempts += solved.attempts;
+                    let engaged = events
+                        .iter()
+                        .filter(|ev| ev.kind == FaultEventKind::FallbackEngaged)
+                        .count();
+                    *fallbacks += engaged;
+                    phase_span.add(Counter::Fallbacks, engaged as u64);
+                    for (total, n) in chain_calls.iter_mut().zip(calls) {
+                        *total += n;
+                    }
+                    for ev in events {
+                        root.add(Counter::FaultEvents, 1);
+                        fault_log.push(ev);
+                    }
+                    match solved.accepted {
+                        Some((set, slot, _)) => {
+                            accepted_count += 1;
+                            all_primary &= slot == 0;
+                            locals.push(set);
+                        }
+                        None => {
+                            first_failed.get_or_insert(c);
+                            locals.push(IndependentSet::empty());
+                        }
+                    }
+                }
+                phase_span.add(Counter::OracleCalls, total_attempts as u64);
+                let phase_retries = total_attempts - accepted_count;
+                *retries += phase_retries;
+                phase_span.add(Counter::Retries, phase_retries as u64);
+                if let Some(c) = first_failed {
+                    break 'acquire Err((Some(c), total_attempts));
+                }
+                break 'acquire Ok((exec.merge(locals), all_primary, 0));
             }
-            CacheLookup::Reject => {
-                // Fingerprint collision: the memoized set is not
-                // independent in this graph. The colliding entry has
-                // been evicted; fall through to the oracle.
-                phase_span.add(Counter::OracleCacheRejects, 1);
-                phase_span.add(Counter::OracleCacheMisses, 1);
+        }
+
+        let site = Site {
+            graph: CallSite::Phase(cg, &mut ws.scratch),
+            phase,
+            component: None,
+            edges: edges_before,
+            span: phase_span,
+            calls_counter: Counter::OracleCalls,
+        };
+        let solved = policy.solve(site, chain_calls, &mut |ev| {
+            if ev.kind == FaultEventKind::FallbackEngaged {
+                *fallbacks += 1;
+                phase_span.add(Counter::Fallbacks, 1);
             }
-            CacheLookup::Miss => phase_span.add(Counter::OracleCacheMisses, 1),
+            root.add(Counter::FaultEvents, 1);
+            fault_log.push(ev);
+        });
+        let phase_retries = solved.attempts.saturating_sub(1);
+        *retries += phase_retries;
+        phase_span.add(Counter::Retries, phase_retries as u64);
+        match solved.accepted {
+            Some((set, slot, quota)) => Ok((set, slot == 0, quota)),
+            None => Err((None, solved.attempts)),
         }
-    }
-    if parallelism.is_parallel() {
-        let exec = ComponentExecutor::new(cg.graph(), parallelism);
-        if exec.should_decompose() {
-            let parts = exec.partition().len();
-            phase_span.add(Counter::Components, parts as u64);
-            phase_span.add(Counter::LargestComponent, exec.partition().largest_size() as u64);
-            let locals = exec.run(|c, sub| {
-                let comp_span = span!(phase_span, names::COMPONENT, c);
-                let oracle_span = span!(comp_span, names::ORACLE, 0);
-                let set = oracle.independent_set(sub);
-                oracle_span.sample(Histogram::IndependentSetSize, set.len() as u64);
-                oracle_span.close();
-                comp_span.add(Counter::ParallelOracleCalls, 1);
-                set
-            });
-            phase_span.add(Counter::OracleCalls, parts as u64);
-            return (exec.merge(locals), parts);
-        }
-    }
-    let oracle_span = span!(phase_span, names::ORACLE, 0);
-    let set = match cg.bitset() {
-        Some(bits) if oracle.supports_dense() => {
-            oracle.independent_set_dense(bits, &mut ws.scratch)
-        }
-        _ => oracle.independent_set(cg.graph()),
     };
-    oracle_span.sample(Histogram::IndependentSetSize, set.len() as u64);
-    oracle_span.close();
-    phase_span.add(Counter::OracleCalls, 1);
-    if let Some(fp) = fingerprint {
-        ws.cache.insert(fp, set.vertices().to_vec());
-    }
-    (set, 1)
+    acquired.map_err(|(component, attempts)| {
+        root.add(Counter::FaultEvents, 1);
+        fault_log.push(FaultEvent {
+            phase,
+            attempt: attempts.saturating_sub(1),
+            oracle: policy.chain_names().last().copied().unwrap_or(""),
+            component,
+            kind: FaultEventKind::RetriesExhausted { attempts },
+        });
+        ReductionError::RetriesExhausted { phase, attempts }
+    })
 }
 
 #[cfg(test)]
@@ -933,6 +1244,24 @@ mod tests {
         // The untraced entry point yields the identical outcome.
         let base = reduce_cf_to_maxis(&h, &GreedyOracle, ReductionConfig::new(k)).unwrap();
         assert_eq!(base.records, out.records);
+
+        // On the component path the oracle spans nest under `component`
+        // spans; the timeline must still attribute every one of them.
+        use pslocal_graph::generators::hyper::multi_component_cf_instance;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let h = multi_component_cf_instance(&mut rng, PlantedCfParams::new(24, 10, k), 4);
+        let tel = Telemetry::new(MemorySink::new());
+        let config = ReductionConfig::new(k).with_threads(2);
+        reduce_cf_to_maxis_traced(&h.hypergraph, &GreedyOracle, config, &tel).unwrap();
+        let spans = tel.into_sink().spans();
+        assert!(spans.iter().any(|s| s.name == names::COMPONENT), "component path taken");
+        let oracle_spans: Vec<_> = spans.iter().filter(|s| s.name == names::ORACLE).collect();
+        let oracle_ns: u64 = oracle_spans.iter().map(|s| s.duration_ns()).sum();
+        assert!(oracle_ns > 0);
+        let timeline = PhaseTimeline::from_spans(&spans).expect("reduction root");
+        assert_eq!(timeline.oracle_ns, oracle_ns);
+        let attempts: usize = timeline.phases.iter().map(|p| p.oracle_attempts).sum();
+        assert_eq!(attempts, oracle_spans.len());
     }
 
     #[test]
@@ -1032,67 +1361,6 @@ mod tests {
         assert_eq!(out1.coloring, base1.coloring);
         assert_eq!(out2.records, base2.records);
         assert_eq!(out2.coloring, base2.coloring);
-    }
-
-    #[test]
-    fn oracle_cache_answers_repeats_without_oracle_calls() {
-        use pslocal_telemetry::MemorySink;
-        let k = 3;
-        let h = planted(33, 36, 15, k);
-        let config = ReductionConfig { oracle_cache: true, ..ReductionConfig::new(k) };
-        let base = reduce_cf_to_maxis(&h, &GreedyOracle, ReductionConfig::new(k)).unwrap();
-        let mut ws = PhaseWorkspace::new();
-        // First run: every phase misses and memoizes.
-        let tel1 = Telemetry::new(MemorySink::new());
-        let out1 =
-            reduce_cf_to_maxis_with_workspace(&h, &GreedyOracle, config, &tel1, &mut ws).unwrap();
-        let sink1 = tel1.into_sink();
-        assert_eq!(sink1.counter_total(Counter::OracleCacheHits), 0);
-        assert_eq!(sink1.counter_total(Counter::OracleCacheMisses), out1.phases_used as u64);
-        assert_eq!(sink1.counter_total(Counter::OracleCalls), out1.phases_used as u64);
-        // Second identical run through the same workspace: every phase
-        // repeats a memoized conflict graph — zero oracle invocations.
-        let tel2 = Telemetry::new(MemorySink::new());
-        let out2 =
-            reduce_cf_to_maxis_with_workspace(&h, &GreedyOracle, config, &tel2, &mut ws).unwrap();
-        let sink2 = tel2.into_sink();
-        assert_eq!(sink2.counter_total(Counter::OracleCacheHits), out2.phases_used as u64);
-        assert_eq!(sink2.counter_total(Counter::OracleCalls), 0);
-        // Memoization never changes the answer.
-        assert_eq!(out1.records, base.records);
-        assert_eq!(out1.coloring, base.coloring);
-        assert_eq!(out2.records, base.records);
-        assert_eq!(out2.coloring, base.coloring);
-    }
-
-    #[test]
-    fn oracle_cache_collision_is_rejected_evicted_and_counted() {
-        use pslocal_telemetry::MemorySink;
-        let k = 2;
-        let h = planted(7, 24, 10, k);
-        let config = ReductionConfig { oracle_cache: true, ..ReductionConfig::new(k) };
-        let base = reduce_cf_to_maxis(&h, &GreedyOracle, ReductionConfig::new(k)).unwrap();
-        // Poison the memo under the *live* first-phase fingerprint with
-        // a set that is not independent in G_k — the situation a 64-bit
-        // fingerprint collision would produce. Conflict-graph nodes 0
-        // and 1 are two color slots of hyperedge 0's first vertex,
-        // always adjacent (same-vertex clique).
-        let fp = ConflictGraph::build(&h, k).fingerprint();
-        let mut ws = PhaseWorkspace::new();
-        ws.cache.insert(fp, vec![pslocal_graph::NodeId::new(0), pslocal_graph::NodeId::new(1)]);
-        let tel = Telemetry::new(MemorySink::new());
-        let out =
-            reduce_cf_to_maxis_with_workspace(&h, &GreedyOracle, config, &tel, &mut ws).unwrap();
-        let sink = tel.into_sink();
-        // Pre-fix: the collision was silently counted as a plain miss
-        // and the poisoned entry stayed cached (LRU-refreshed, even).
-        assert_eq!(sink.counter_total(Counter::OracleCacheRejects), 1);
-        assert_eq!(sink.counter_total(Counter::OracleCacheHits), 0);
-        assert_eq!(sink.counter_total(Counter::OracleCacheMisses), out.phases_used as u64);
-        // The run falls through to the oracle and stays byte-identical
-        // to an uncached baseline.
-        assert_eq!(out.records, base.records);
-        assert_eq!(out.coloring, base.coloring);
     }
 
     fn ckpt_dir(tag: &str) -> std::path::PathBuf {

@@ -24,6 +24,14 @@
 //! [`PartialOutcome`] carries the verified partial coloring, the still
 //! unhappy edges, and the per-phase records accumulated so far.
 //!
+//! The driver is the shared phase loop of [`crate::reduction`] under a
+//! resilient **acquisition policy**: everything above happens inside
+//! one chain-walk function that runs on whatever graph the oracle is
+//! called on — the whole conflict graph, or one component of it when
+//! the phase runs component-parallel (a fault then retries only its
+//! component). Budget, decay gate, journal, deadline, commit and
+//! restriction are the loop's, identical to the trusting driver's.
+//!
 //! The driver's contract — the chaos-test invariant — is:
 //!
 //! > For **every** fault schedule, `reduce_cf_resilient` either returns
@@ -33,20 +41,15 @@
 //! > [`reduce_cf_to_maxis`](crate::reduce_cf_to_maxis) exactly
 //! > (byte-identical [`PhaseRecord`]s).
 
-use crate::components::ComponentExecutor;
-use crate::conflict_graph::{ConflictGraph, ConflictGraphOptions};
-use crate::recovery::{
-    self, Checkpointing, DriverKind, JournalPhase, PhaseJournal, RecoveryReport, StoredFaultEvent,
-};
+use crate::recovery::{Checkpointing, DriverKind, RecoveryReport};
 use crate::reduction::{
-    commit_phase, decay_allowed, lambda_for_phase, lemma_2_1_quota, oracle_locality, PhaseRecord,
-    ReductionConfig, ReductionError, ReductionOutcome,
+    is_certified, lemma_2_1_quota, run_phases, Acquisition, PhaseRecord, ReductionConfig,
+    ReductionError, ReductionOutcome, Site, Solved,
 };
 use crate::workspace::PhaseWorkspace;
-use pslocal_cfcolor::{checker, Multicoloring};
-use pslocal_graph::{Graph, HyperedgeId, Hypergraph, IndependentSet};
-use pslocal_maxis::{ApproxGuarantee, CrashPoint, CrashSignal, MaxIsOracle};
-use pslocal_slocal::LocalityBudget;
+use pslocal_cfcolor::Multicoloring;
+use pslocal_graph::{HyperedgeId, Hypergraph};
+use pslocal_maxis::{CrashSignal, MaxIsOracle};
 use pslocal_telemetry::{names, span, Counter, Histogram, Sink, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
@@ -238,16 +241,6 @@ impl Error for ResilientFailure {
     }
 }
 
-/// Validates a claimed independent set against the graph the oracle
-/// was called on — the whole conflict graph on the serial path, one
-/// component's induced subgraph on the parallel path. The range check
-/// must come first: `is_independent_set` panics on out-of-range
-/// vertices.
-fn validates_independence(graph: &Graph, set: &IndependentSet) -> bool {
-    let n = graph.node_count();
-    set.vertices().iter().all(|v| v.index() < n) && graph.is_independent_set(set.vertices())
-}
-
 /// Runs the Theorem 1.1 reduction against an untrusted oracle
 /// **chain** (`chain[0]` is the primary; later entries are fallbacks,
 /// tried left to right).
@@ -293,8 +286,7 @@ pub fn reduce_cf_resilient_traced<S: Sink>(
     config: ResilientConfig,
     tel: &Telemetry<S>,
 ) -> Result<ResilientOutcome, ResilientFailure> {
-    reduce_resilient_inner(h, chain, config, tel, None, &mut PhaseWorkspace::new(), None)
-        .map(|(outcome, _)| outcome)
+    reduce_cf_resilient_with_workspace(h, chain, config, tel, &mut PhaseWorkspace::new(), None)
 }
 
 /// [`reduce_cf_resilient_traced`] lending a caller-owned
@@ -323,13 +315,16 @@ pub fn reduce_cf_resilient_with_workspace<S: Sink>(
     ws: &mut PhaseWorkspace,
     deadline: Option<Instant>,
 ) -> Result<ResilientOutcome, ResilientFailure> {
-    reduce_resilient_inner(h, chain, config, tel, None, ws, deadline).map(|(outcome, _)| outcome)
+    run_phases(h, &Resilient { chain, config }, config.base, tel, None, ws, deadline)
+        .map(|(outcome, _)| outcome)
 }
 
 /// [`reduce_cf_resilient_traced`] with crash-safe checkpointing: every
 /// committed phase — including its fault events, per-slot oracle-call
 /// positions, and the quota actually enforced on the accepted set — is
-/// durably appended to the [`PhaseJournal`] in `checkpoint.dir`; with
+/// durably appended to the
+/// [`PhaseJournal`](crate::recovery::PhaseJournal) in
+/// `checkpoint.dir`; with
 /// [`Checkpointing::resume`] an existing journal is replayed
 /// (corruption-tolerant, each record re-validated — see
 /// [`crate::recovery`]) and the run continues from the last good
@@ -354,592 +349,117 @@ pub fn reduce_cf_resilient_resumable<S: Sink>(
     checkpoint: &Checkpointing,
     tel: &Telemetry<S>,
 ) -> Result<(ResilientOutcome, RecoveryReport), ResilientFailure> {
-    reduce_resilient_inner(
-        h,
-        chain,
-        config,
-        tel,
-        Some(checkpoint),
-        &mut PhaseWorkspace::new(),
-        None,
-    )
+    let ws = &mut PhaseWorkspace::new();
+    run_phases(h, &Resilient { chain, config }, config.base, tel, Some(checkpoint), ws, None)
 }
 
-#[allow(clippy::result_large_err)]
-#[allow(clippy::too_many_arguments)]
-fn reduce_resilient_inner<S: Sink>(
-    h: &Hypergraph,
-    chain: &[&dyn MaxIsOracle],
+/// The resilient policy: walk the chain left to right, retrying each
+/// oracle up to [`ResilientConfig::max_retries`] times with a doubling
+/// stall budget, and accept the first answer that survives validation.
+struct Resilient<'c> {
+    chain: &'c [&'c dyn MaxIsOracle],
     config: ResilientConfig,
-    tel: &Telemetry<S>,
-    checkpoint: Option<&Checkpointing>,
-    ws: &mut PhaseWorkspace,
-    deadline: Option<Instant>,
-) -> Result<(ResilientOutcome, RecoveryReport), ResilientFailure> {
-    let root = span!(tel, names::REDUCTION);
-    let m = h.edge_count();
-    let k = config.base.k;
-    let mut coloring = Multicoloring::new(h.node_count());
-    let mut residual: Vec<HyperedgeId> = h.edge_ids().collect();
-    let mut fault_log: Vec<FaultEvent> = Vec::new();
-    let mut records: Vec<PhaseRecord> = Vec::new();
+}
 
-    macro_rules! fail {
-        ($error:expr) => {
-            return Err(ResilientFailure {
-                error: $error,
-                partial: PartialOutcome { coloring, residual_edges: residual, records },
-                fault_log,
-            })
-        };
-    }
-    // Every fault-log entry is mirrored as a `fault_events` tick so a
-    // sink can cross-check the log length without seeing the log.
-    macro_rules! fault {
-        ($event:expr) => {{
-            root.add(Counter::FaultEvents, 1);
-            fault_log.push($event);
-        }};
+impl<'c> Acquisition for Resilient<'c> {
+    const DRIVER: DriverKind = DriverKind::Resilient;
+    type Primary = dyn MaxIsOracle + 'c;
+
+    fn primary(&self) -> &(dyn MaxIsOracle + 'c) {
+        self.chain[0]
     }
 
-    if chain.is_empty() {
-        fail!(ReductionError::RetriesExhausted { phase: 0, attempts: 0 });
+    fn chain_names(&self) -> Vec<&'static str> {
+        self.chain.iter().map(|o| o.name()).collect()
     }
 
-    // λ and budget exactly as the trusting driver computes them, from
-    // the primary oracle.
-    let first_cg = ConflictGraph::build_traced(
-        h,
-        k,
-        ConflictGraphOptions::with_kernel(config.base.kernel),
-        &root,
-    );
-    let lambda = match config.base.lambda_override {
-        Some(l) => l,
-        None => match lambda_for_phase(&first_cg, chain[0]) {
-            Some(l) => l,
-            None => fail!(ReductionError::NoLambdaAvailable),
-        },
-    };
-    let rho = ReductionConfig::rho(lambda, m);
-    let budget = config.base.max_phases.unwrap_or(rho).min(rho);
-
-    // Decay invariant applies to primary-accepted phases of a certified
-    // primary (mirrors the trusting driver); replay re-checks under the
-    // same gate.
-    let primary_certified =
-        matches!(chain[0].guarantee(), ApproxGuarantee::Exact | ApproxGuarantee::MaxDegreePlusOne);
-    let enforce_decay = primary_certified && config.base.lambda_override.is_none() && lambda >= 1.0;
-
-    let mut retries = 0usize;
-    let mut fallbacks_engaged = 0usize;
-    let mut phase = 0usize;
-    // Cumulative `independent_set` invocations per chain slot: the
-    // resume positions `MaxIsOracle::resume_at` restores on resume.
-    let mut chain_calls: Vec<u64> = vec![0; chain.len()];
-    let mut report = RecoveryReport::default();
-    let mut journal: Option<PhaseJournal> = None;
-    let crash = checkpoint.and_then(|c| c.crash.as_ref());
-    // Phase-incremental pipeline, identical to `reduce_cf_to_maxis`:
-    // later phases filter the previous conflict graph's retained CSR
-    // rows (`ConflictGraph::restrict_to_edges`) instead of re-running
-    // the construction kernel, which also keeps the two drivers'
-    // per-phase graphs — and hence their records — byte-identical.
-    let mut cg = first_cg;
-
-    if let Some(ckpt) = checkpoint {
-        let ctx = recovery::ReplayCtx {
-            h,
-            driver: DriverKind::Resilient,
-            k,
-            lambda,
-            rho,
-            budget,
-            threads: config.base.parallelism.threads,
-            enforce_decay,
-            chain_names: chain.iter().map(|o| o.name()).collect(),
-        };
-        let replayed = match recovery::open_or_replay(
-            &ctx,
-            ckpt,
-            &mut cg,
-            &mut coloring,
-            &mut residual,
-            &root,
-        ) {
-            Ok(replayed) => replayed,
-            Err(e) => fail!(ReductionError::CheckpointFailed { message: e.to_string() }),
-        };
-        phase = replayed.phase;
-        records = replayed.records;
-        chain_calls = replayed.chain_calls;
-        retries = replayed.retries as usize;
-        fallbacks_engaged = replayed.fallbacks as usize;
-        // Replayed events re-enter the log (and the mirror counter, so
-        // `fault_events == fault_log.len()` still holds on resume).
-        root.add(Counter::FaultEvents, replayed.fault_log.len() as u64);
-        fault_log = replayed.fault_log;
-        report = replayed.report;
-        journal = Some(replayed.journal);
-        for (slot, oracle) in chain.iter().enumerate() {
-            oracle.resume_at(chain_calls[slot] as usize);
+    fn resume_at(&self, chain_calls: &[u64]) {
+        for (oracle, &calls) in self.chain.iter().zip(chain_calls) {
+            oracle.resume_at(calls as usize);
         }
     }
 
-    while !residual.is_empty() && phase < budget {
-        // Cooperative cancellation: overdue runs stop at the phase
-        // boundary with salvage (whole committed phases only).
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            fail!(ReductionError::DeadlineExceeded { phase });
-        }
-        let phase_span = span!(root, names::PHASE, phase);
-        let edges_before = residual.len();
-        let phase_log_start = fault_log.len();
-        let cg_fingerprint = journal.as_ref().map(|_| cg.fingerprint());
-        recovery::maybe_crash(crash, phase, CrashPoint::MidOracle);
-
-        // Acquire an acceptable independent set. With `threads > 1`
-        // and a disconnected conflict graph, each component runs its
-        // own chain walk concurrently (a fault retries only its
-        // component, never its siblings) and the verified local sets
-        // merge; otherwise the historical serial chain walk runs on
-        // the whole graph. Either way the phase commits atomically.
-        // `quota_required` is the Lemma 2.1 quota actually enforced on
-        // the accepted set (0 = none: heuristic oracle, or the
-        // parallel path whose per-component quotas do not reduce to
-        // one whole-graph number) — journaled so replay re-demands
-        // exactly what the original run demanded.
-        let (set, accepted_primary, quota_required) = 'acquire: {
-            if config.base.parallelism.is_parallel() {
-                let exec = ComponentExecutor::new(cg.graph(), config.base.parallelism);
-                if exec.should_decompose() {
-                    let parts = exec.partition().len();
-                    phase_span.add(Counter::Components, parts as u64);
-                    phase_span
-                        .add(Counter::LargestComponent, exec.partition().largest_size() as u64);
-                    // Every hyperedge's triple block is an E_edge
-                    // clique, so blocks never split across components
-                    // and the residual hyperedges *partition* over
-                    // them: the Lemma 2.1 quota each component must
-                    // meet is ⌈m_c/λ_c⌉ on its own hyperedge count.
-                    let mut comp_edges = vec![0usize; parts];
-                    for e in cg.hypergraph().edge_ids() {
-                        comp_edges[exec.partition().component_of(cg.block_start(e))] += 1;
-                    }
-                    struct ComponentAttempt {
-                        set: Option<(IndependentSet, usize)>,
-                        attempts: usize,
-                        fallbacks: usize,
-                        events: Vec<FaultEvent>,
-                        /// `independent_set` invocations per chain slot
-                        /// within this component (resume accounting).
-                        per_slot: Vec<u64>,
-                    }
-                    let results = exec.run(|c, sub| {
-                        let comp_span = span!(phase_span, names::COMPONENT, c);
-                        let mut events = Vec::new();
-                        let mut accepted = None;
-                        let mut attempt = 0usize;
-                        let mut fallbacks = 0usize;
-                        let mut per_slot = vec![0u64; chain.len()];
-                        'chain: for (idx, oracle) in chain.iter().enumerate() {
-                            if idx > 0 {
-                                fallbacks += 1;
-                                events.push(FaultEvent {
-                                    phase,
-                                    attempt,
-                                    oracle: oracle.name(),
-                                    component: Some(c),
-                                    kind: FaultEventKind::FallbackEngaged,
-                                });
-                            }
-                            for retry in 0..=config.max_retries {
-                                let this_attempt = attempt;
-                                attempt += 1;
-                                let tolerance = stall_budget(config.stall_tolerance, retry);
-                                let oracle_span = span!(comp_span, names::ORACLE, this_attempt);
-                                comp_span.add(Counter::ParallelOracleCalls, 1);
-                                per_slot[idx] += 1;
-                                let answer =
-                                    catch_unwind(AssertUnwindSafe(|| oracle.independent_set(sub)));
-                                let set = match answer {
-                                    Err(payload) => {
-                                        // An injected *process* crash is
-                                        // not an oracle fault: re-raise
-                                        // so it kills the run.
-                                        if payload.downcast_ref::<CrashSignal>().is_some() {
-                                            resume_unwind(payload);
-                                        }
-                                        drop(oracle_span);
-                                        events.push(FaultEvent {
-                                            phase,
-                                            attempt: this_attempt,
-                                            oracle: oracle.name(),
-                                            component: Some(c),
-                                            kind: FaultEventKind::OraclePanicked,
-                                        });
-                                        continue;
-                                    }
-                                    Ok(set) => set,
-                                };
-                                // A single *stateful* oracle is shared
-                                // by all workers, so stall readings may
-                                // interleave across components; the
-                                // budget still bounds every reading it
-                                // acts on.
-                                let stalled = oracle.stalled_steps();
-                                oracle_span.add(Counter::StalledSteps, stalled as u64);
-                                oracle_span.sample(Histogram::IndependentSetSize, set.len() as u64);
-                                drop(oracle_span);
-                                if stalled > tolerance {
-                                    events.push(FaultEvent {
-                                        phase,
-                                        attempt: this_attempt,
-                                        oracle: oracle.name(),
-                                        component: Some(c),
-                                        kind: FaultEventKind::OracleStalled {
-                                            steps: stalled,
-                                            tolerance,
-                                        },
-                                    });
-                                    continue;
-                                }
-                                if !validates_independence(sub, &set) {
-                                    events.push(FaultEvent {
-                                        phase,
-                                        attempt: this_attempt,
-                                        oracle: oracle.name(),
-                                        component: Some(c),
-                                        kind: FaultEventKind::OracleInvalidOutput,
-                                    });
-                                    continue;
-                                }
-                                let certified = matches!(
-                                    oracle.guarantee(),
-                                    ApproxGuarantee::Exact | ApproxGuarantee::MaxDegreePlusOne
-                                );
-                                if certified {
-                                    if let Some(l) = oracle.lambda_for(sub) {
-                                        if l >= 1.0 {
-                                            let required = lemma_2_1_quota(comp_edges[c], l);
-                                            if set.len() < required {
-                                                events.push(FaultEvent {
-                                                    phase,
-                                                    attempt: this_attempt,
-                                                    oracle: oracle.name(),
-                                                    component: Some(c),
-                                                    kind: FaultEventKind::OracleUnderDelivered {
-                                                        delivered: set.len(),
-                                                        required,
-                                                    },
-                                                });
-                                                continue;
-                                            }
-                                        }
-                                    }
-                                }
-                                accepted = Some((set, idx));
-                                break 'chain;
-                            }
-                        }
-                        ComponentAttempt {
-                            set: accepted,
-                            attempts: attempt,
-                            fallbacks,
-                            events,
-                            per_slot,
-                        }
-                    });
-                    // Aggregate in component-id order: the fault log,
-                    // counters, and merge result are deterministic
-                    // regardless of how workers interleaved.
-                    let mut total_attempts = 0usize;
-                    let mut accepted_count = 0usize;
-                    let mut all_primary = true;
-                    let mut first_failed: Option<usize> = None;
-                    let mut locals = Vec::with_capacity(parts);
-                    for (c, r) in results.into_iter().enumerate() {
-                        total_attempts += r.attempts;
-                        fallbacks_engaged += r.fallbacks;
-                        phase_span.add(Counter::Fallbacks, r.fallbacks as u64);
-                        for (slot, calls) in r.per_slot.iter().enumerate() {
-                            chain_calls[slot] += calls;
-                        }
-                        for ev in r.events {
-                            fault!(ev);
-                        }
-                        match r.set {
-                            Some((set, idx)) => {
-                                accepted_count += 1;
-                                if idx != 0 {
-                                    all_primary = false;
-                                }
-                                locals.push(set);
-                            }
-                            None => {
-                                first_failed.get_or_insert(c);
-                                locals.push(IndependentSet::empty());
-                            }
-                        }
-                    }
-                    phase_span.add(Counter::OracleCalls, total_attempts as u64);
-                    let phase_retries = total_attempts - accepted_count;
-                    retries += phase_retries;
-                    phase_span.add(Counter::Retries, phase_retries as u64);
-                    if let Some(c) = first_failed {
-                        // No partial commit: one exhausted component
-                        // fails the whole phase, keeping salvage a
-                        // whole-phase boundary exactly as on the
-                        // serial path.
-                        fault!(FaultEvent {
-                            phase,
-                            attempt: total_attempts.saturating_sub(1),
-                            oracle: chain.last().map_or("", |o| o.name()),
-                            component: Some(c),
-                            kind: FaultEventKind::RetriesExhausted { attempts: total_attempts },
-                        });
-                        fail!(ReductionError::RetriesExhausted { phase, attempts: total_attempts });
-                    }
-                    // Per-component quotas (⌈m_c/λ_c⌉, possibly met by
-                    // fallback slots) do not reduce to one whole-graph
-                    // number, so the journal records no quota here.
-                    break 'acquire (exec.merge(locals), all_primary, 0);
-                }
+    /// The chain walk, the same on the serial and the component path:
+    /// each attempt opens an `oracle` span (indexed by attempt number),
+    /// and its answer is rejected — costing one attempt and one
+    /// [`FaultEvent`] — if the call panicked, stalled past the
+    /// attempt's budget, returned a non-independent set, or fell short
+    /// of the Lemma 2.1 quota `⌈edges/λ⌉` of the calling oracle's own
+    /// certified λ on the site's graph (heuristic and asymptotic
+    /// guarantees promise no per-instance quota, so only certified ones
+    /// gate). An injected *process* crash ([`CrashSignal`]) is not an
+    /// oracle fault and is re-raised so it kills the run.
+    fn solve<S: Sink>(
+        &self,
+        mut site: Site<'_, S>,
+        calls: &mut [u64],
+        fault: &mut impl FnMut(FaultEvent),
+    ) -> Solved {
+        let (phase, component) = (site.phase, site.component);
+        let event = |attempt: usize, oracle: &dyn MaxIsOracle, kind: FaultEventKind| FaultEvent {
+            phase,
+            attempt,
+            oracle: oracle.name(),
+            component,
+            kind,
+        };
+        let mut attempt = 0usize;
+        for (slot, &oracle) in self.chain.iter().enumerate() {
+            if slot > 0 {
+                fault(event(attempt, oracle, FaultEventKind::FallbackEngaged));
             }
-            // Serial path: walk the chain, retry each oracle up to
-            // max_retries times with a doubling stall budget per
-            // attempt.
-            let mut accepted: Option<(IndependentSet, usize, usize)> = None;
-            let mut attempt = 0usize;
-            'chain: for (idx, oracle) in chain.iter().enumerate() {
-                if idx > 0 {
-                    fallbacks_engaged += 1;
-                    phase_span.add(Counter::Fallbacks, 1);
-                    fault!(FaultEvent {
-                        phase,
-                        attempt,
-                        oracle: oracle.name(),
-                        component: None,
-                        kind: FaultEventKind::FallbackEngaged,
-                    });
-                }
-                for retry in 0..=config.max_retries {
-                    let this_attempt = attempt;
-                    attempt += 1;
-                    let tolerance = stall_budget(config.stall_tolerance, retry);
-                    let oracle_span = span!(phase_span, names::ORACLE, this_attempt);
-                    phase_span.add(Counter::OracleCalls, 1);
-                    chain_calls[idx] += 1;
-                    // Dense dispatch mirrors the trusting driver; the
-                    // workspace scratch is state-free across calls, so
-                    // a caught panic mid-kernel cannot poison retries.
-                    let answer = catch_unwind(AssertUnwindSafe(|| match cg.bitset() {
-                        Some(bits) if oracle.supports_dense() => {
-                            oracle.independent_set_dense(bits, &mut ws.scratch)
+            for retry in 0..=self.config.max_retries {
+                let this_attempt = attempt;
+                attempt += 1;
+                let tolerance = stall_budget(self.config.stall_tolerance, retry);
+                let oracle_span = span!(site.span, names::ORACLE, this_attempt);
+                site.span.add(site.calls_counter, 1);
+                calls[slot] += 1;
+                let set = match catch_unwind(AssertUnwindSafe(|| site.graph.call(oracle))) {
+                    Ok(set) => set,
+                    Err(payload) => {
+                        if payload.downcast_ref::<CrashSignal>().is_some() {
+                            resume_unwind(payload);
                         }
-                        _ => oracle.independent_set(cg.graph()),
-                    }));
-                    let set = match answer {
-                        Err(payload) => {
-                            // An injected *process* crash is not an
-                            // oracle fault: re-raise so it kills the
-                            // run instead of burning a retry.
-                            if payload.downcast_ref::<CrashSignal>().is_some() {
-                                resume_unwind(payload);
-                            }
-                            drop(oracle_span);
-                            fault!(FaultEvent {
-                                phase,
-                                attempt: this_attempt,
-                                oracle: oracle.name(),
-                                component: None,
-                                kind: FaultEventKind::OraclePanicked,
-                            });
+                        drop(oracle_span);
+                        fault(event(this_attempt, oracle, FaultEventKind::OraclePanicked));
+                        continue;
+                    }
+                };
+                // On the component path a single *stateful* oracle is
+                // shared by all workers, so stall readings may
+                // interleave across components; the budget still bounds
+                // every reading it acts on.
+                let stalled = oracle.stalled_steps();
+                oracle_span.add(Counter::StalledSteps, stalled as u64);
+                oracle_span.sample(Histogram::IndependentSetSize, set.len() as u64);
+                drop(oracle_span);
+                if stalled > tolerance {
+                    let kind = FaultEventKind::OracleStalled { steps: stalled, tolerance };
+                    fault(event(this_attempt, oracle, kind));
+                    continue;
+                }
+                if !site.graph.is_independent(&set) {
+                    fault(event(this_attempt, oracle, FaultEventKind::OracleInvalidOutput));
+                    continue;
+                }
+                let mut required = 0usize;
+                if is_certified(oracle.guarantee()) {
+                    if let Some(l) = site.graph.lambda(oracle).filter(|&l| l >= 1.0) {
+                        required = lemma_2_1_quota(site.edges, l);
+                        if set.len() < required {
+                            let delivered = set.len();
+                            let kind = FaultEventKind::OracleUnderDelivered { delivered, required };
+                            fault(event(this_attempt, oracle, kind));
                             continue;
                         }
-                        Ok(set) => set,
-                    };
-                    let stalled = oracle.stalled_steps();
-                    oracle_span.add(Counter::StalledSteps, stalled as u64);
-                    oracle_span.sample(Histogram::IndependentSetSize, set.len() as u64);
-                    drop(oracle_span);
-                    if stalled > tolerance {
-                        fault!(FaultEvent {
-                            phase,
-                            attempt: this_attempt,
-                            oracle: oracle.name(),
-                            component: None,
-                            kind: FaultEventKind::OracleStalled { steps: stalled, tolerance },
-                        });
-                        continue;
                     }
-                    if !cg.verify_independent(&set) {
-                        fault!(FaultEvent {
-                            phase,
-                            attempt: this_attempt,
-                            oracle: oracle.name(),
-                            component: None,
-                            kind: FaultEventKind::OracleInvalidOutput,
-                        });
-                        continue;
-                    }
-                    // Delivery quota per Lemma 2.1, against the calling
-                    // oracle's own certified λ on this phase's conflict
-                    // graph; heuristic and asymptotic guarantees promise
-                    // no per-instance quota, so only certified ones
-                    // gate.
-                    let certified = matches!(
-                        oracle.guarantee(),
-                        ApproxGuarantee::Exact | ApproxGuarantee::MaxDegreePlusOne
-                    );
-                    let mut required = 0usize;
-                    if certified {
-                        if let Some(l) = lambda_for_phase(&cg, *oracle) {
-                            if l >= 1.0 {
-                                required = lemma_2_1_quota(edges_before, l);
-                                if set.len() < required {
-                                    fault!(FaultEvent {
-                                        phase,
-                                        attempt: this_attempt,
-                                        oracle: oracle.name(),
-                                        component: None,
-                                        kind: FaultEventKind::OracleUnderDelivered {
-                                            delivered: set.len(),
-                                            required,
-                                        },
-                                    });
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                    accepted = Some((set, idx, required));
-                    break 'chain;
                 }
+                return Solved { accepted: Some((set, slot, required)), attempts: attempt };
             }
-            retries += attempt.saturating_sub(1);
-            phase_span.add(Counter::Retries, attempt.saturating_sub(1) as u64);
-
-            let Some((set, accepted_idx, quota_required)) = accepted else {
-                fault!(FaultEvent {
-                    phase,
-                    attempt: attempt.saturating_sub(1),
-                    oracle: chain.last().map_or("", |o| o.name()),
-                    component: None,
-                    kind: FaultEventKind::RetriesExhausted { attempts: attempt },
-                });
-                fail!(ReductionError::RetriesExhausted { phase, attempts: attempt });
-            };
-            break 'acquire (set, accepted_idx == 0, quota_required);
-        };
-
-        recovery::maybe_crash(crash, phase, CrashPoint::AfterOracle);
-
-        // Commit the phase exactly as the trusting driver does — the
-        // shared `commit_phase` kernel is what keeps the two drivers
-        // (and journal replay) byte-identical.
-        let commit_span = span!(phase_span, names::COMMIT);
-        let commit = commit_phase(h, &cg, &set, k, phase, &mut coloring, &mut residual);
-        let edges_after = commit.edges_after;
-        commit_span.add(Counter::HappyEdges, (edges_before - edges_after) as u64);
-        commit_span.close();
-        phase_span.add(Counter::EdgesRemoved, (edges_before - edges_after) as u64);
-        root.add(Counter::Phases, 1);
-
-        records.push(PhaseRecord {
-            phase,
-            edges_before,
-            conflict_nodes: cg.node_count(),
-            conflict_edges: cg.edge_count(),
-            independent_set_size: set.len(),
-            edges_removed: edges_before - edges_after,
-            edges_after,
-        });
-
-        // Decay invariant, mirroring the trusting driver: enforced only
-        // for primary-accepted phases of a certified primary (fallback
-        // commits are already annotated in the fault log).
-        if accepted_primary && enforce_decay && edges_after > decay_allowed(edges_before, lambda) {
-            fail!(ReductionError::DecayViolated {
-                phase,
-                before: edges_before,
-                after: edges_after,
-                lambda,
-            });
         }
-
-        if let Some(j) = journal.as_mut() {
-            recovery::maybe_crash(crash, phase, CrashPoint::BeforeJournal);
-            let write_span = span!(phase_span, names::CHECKPOINT_WRITE);
-            let entry = JournalPhase {
-                phase,
-                // pslocal: allow(panic-path, "the fingerprint is computed earlier in this same journaling branch; None here is a control-flow bug")
-                cg_fingerprint: cg_fingerprint.expect("computed while journaling"),
-                set: set.vertices().iter().map(|v| v.index() as u64).collect(),
-                // pslocal: allow(panic-path, "records.push happened unconditionally a few lines up, so last() always exists")
-                record: records.last().expect("just pushed").clone(),
-                quota_required,
-                primary: accepted_primary,
-                chain_calls: chain_calls.clone(),
-                retries: retries as u64,
-                fallbacks: fallbacks_engaged as u64,
-                events: fault_log[phase_log_start..]
-                    .iter()
-                    .map(StoredFaultEvent::from_event)
-                    .collect(),
-            };
-            let bytes = match j.append_phase(entry) {
-                Ok(bytes) => bytes,
-                Err(e) => fail!(ReductionError::CheckpointFailed { message: e.to_string() }),
-            };
-            write_span.add(Counter::JournalBytes, bytes);
-            write_span.close();
-            report.journal_bytes = bytes;
-            recovery::maybe_crash(crash, phase, CrashPoint::AfterJournal);
-        }
-
-        phase += 1;
-        if !residual.is_empty() && phase < budget {
-            let restrict_span = span!(phase_span, names::RESTRICT);
-            let restricted =
-                cg.restrict_to_edges_in(&commit.keep_pos, &mut ws.arena, &mut ws.nodes);
-            if let Some(old) = std::mem::replace(&mut cg, restricted).into_graph() {
-                ws.arena.recycle(old);
-            }
-            restrict_span.add(Counter::CsrBytes, cg.csr_bytes());
-        }
+        Solved { accepted: None, attempts: attempt }
     }
-
-    if !residual.is_empty() {
-        fail!(ReductionError::PhaseBudgetExhausted {
-            rho: budget,
-            remaining_edges: residual.len()
-        });
-    }
-
-    debug_assert!(checker::is_conflict_free(h, &coloring));
-    let total_colors = coloring.total_color_count();
-    Ok((
-        ResilientOutcome {
-            reduction: ReductionOutcome {
-                coloring,
-                lambda,
-                rho,
-                phases_used: phase,
-                total_colors,
-                records,
-                locality: LocalityBudget {
-                    own_locality: 1,
-                    oracle_calls: phase,
-                    oracle_locality: oracle_locality(h.node_count()),
-                },
-            },
-            fault_log,
-            retries,
-            fallbacks_engaged,
-        },
-        report,
-    ))
 }
 
 #[cfg(test)]
@@ -947,9 +467,10 @@ mod tests {
     use super::*;
     use crate::recovery::CrashPlan;
     use crate::reduction::reduce_cf_to_maxis;
+    use pslocal_cfcolor::checker;
     use pslocal_graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
     use pslocal_maxis::{
-        ExactOracle, FaultKind, FaultPlan, FaultyOracle, GreedyOracle, PrecisionOracle,
+        CrashPoint, ExactOracle, FaultKind, FaultPlan, FaultyOracle, GreedyOracle, PrecisionOracle,
         WorstWitnessOracle,
     };
     use rand::SeedableRng;

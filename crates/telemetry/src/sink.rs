@@ -88,18 +88,6 @@ pub enum Counter {
     /// gauge: each `checkpoint-write` span records the journal's size
     /// after its append).
     JournalBytes,
-    /// Phase oracle calls answered from the fingerprint-keyed memo
-    /// cache instead of invoking the oracle (drivers with
-    /// `oracle_cache` enabled).
-    OracleCacheHits,
-    /// Phase oracle lookups that missed the memo cache and fell through
-    /// to a real oracle call (drivers with `oracle_cache` enabled).
-    OracleCacheMisses,
-    /// Memo-cache hits whose stored set failed re-verification against
-    /// the current conflict graph (a fingerprint collision): the entry
-    /// is evicted and the lookup falls through to the oracle. Also
-    /// counted as a miss, so hits + misses still equals lookups.
-    OracleCacheRejects,
     /// Requests the batch service admitted into its bounded queue.
     RequestsAdmitted,
     /// Requests the batch service refused with `QueueFull` backpressure
@@ -154,9 +142,6 @@ impl Counter {
             Counter::ParallelOracleCalls => "parallel_oracle_calls",
             Counter::PhasesRecovered => "phases_recovered",
             Counter::JournalBytes => "journal_bytes",
-            Counter::OracleCacheHits => "oracle_cache_hit",
-            Counter::OracleCacheMisses => "oracle_cache_miss",
-            Counter::OracleCacheRejects => "oracle_cache_reject",
             Counter::RequestsAdmitted => "requests_admitted",
             Counter::RequestsRejected => "requests_rejected",
             Counter::RequestsCompleted => "requests_completed",
@@ -740,9 +725,6 @@ mod tests {
     fn counter_and_histogram_names_are_stable() {
         assert_eq!(Counter::CsrBytes.name(), "csr_bytes");
         assert_eq!(Counter::StalledSteps.to_string(), "stalled_steps");
-        assert_eq!(Counter::OracleCacheHits.name(), "oracle_cache_hit");
-        assert_eq!(Counter::OracleCacheMisses.name(), "oracle_cache_miss");
-        assert_eq!(Counter::OracleCacheRejects.name(), "oracle_cache_reject");
         assert_eq!(Counter::RequestsAdmitted.name(), "requests_admitted");
         assert_eq!(Counter::RequestsRejected.name(), "requests_rejected");
         assert_eq!(Counter::DeadlinesExceeded.name(), "requests_deadline_exceeded");

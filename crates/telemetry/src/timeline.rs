@@ -24,11 +24,14 @@ pub struct PhaseTiming {
     /// Time spent restricting the previous conflict graph, ns (0 in
     /// phase 0, whose graph is built under the reduction root).
     pub restrict_ns: u64,
-    /// Time spent inside oracle calls, ns (summed over attempts).
+    /// Time spent inside oracle calls, ns, summed over attempts and,
+    /// on the component path, over components — there it is CPU time
+    /// across workers and can exceed the phase's wall time.
     pub oracle_ns: u64,
     /// Time spent committing (decode, palette merge, residual scan), ns.
     pub commit_ns: u64,
-    /// Oracle attempts made (1 for a clean phase, more under retries).
+    /// Oracle attempts made (1 for a clean serial phase, one per
+    /// component on the component path, more under retries).
     pub oracle_attempts: usize,
     /// Hyperedges removed by the phase.
     pub edges_removed: u64,
@@ -75,13 +78,24 @@ impl PhaseTimeline {
             children(root.id).filter(|s| s.name == names::PHASE).collect();
         phases.sort_by_key(|s| s.index);
         for phase in phases {
+            // Oracle spans sit under the phase on the serial path and
+            // under its `component` spans on the component path.
+            let oracle_spans = || {
+                children(phase.id)
+                    .chain(
+                        children(phase.id)
+                            .filter(|s| s.name == names::COMPONENT)
+                            .flat_map(|c| children(c.id)),
+                    )
+                    .filter(|s| s.name == names::ORACLE)
+            };
             let timing = PhaseTiming {
                 phase: phase.index.unwrap_or(0),
                 total_ns: phase.duration_ns(),
                 restrict_ns: subtree_ns(phase.id, names::RESTRICT),
-                oracle_ns: subtree_ns(phase.id, names::ORACLE),
+                oracle_ns: oracle_spans().map(|s| s.duration_ns()).sum(),
                 commit_ns: subtree_ns(phase.id, names::COMMIT),
-                oracle_attempts: children(phase.id).filter(|s| s.name == names::ORACLE).count(),
+                oracle_attempts: oracle_spans().count(),
                 edges_removed: phase.counter(Counter::EdgesRemoved),
             };
             timeline.build_ns += timing.restrict_ns;
@@ -281,6 +295,31 @@ mod tests {
         let table = tl.render();
         assert!(table.contains("phase"));
         assert!(table.contains("total"));
+    }
+
+    #[test]
+    fn timeline_counts_oracle_spans_under_components() {
+        // reduction 1 → phase 2 → {component 3 → oracle 4,
+        //                          component 5 → oracle 6, oracle 7}
+        let sink = MemorySink::new();
+        let spans: [(u64, Option<u64>, &'static str, u64, u64); 7] = [
+            (1, None, names::REDUCTION, 0, 1000),
+            (2, Some(1), names::PHASE, 0, 900),
+            (3, Some(2), names::COMPONENT, 10, 300),
+            (4, Some(3), names::ORACLE, 20, 250),
+            (5, Some(2), names::COMPONENT, 10, 200),
+            (6, Some(5), names::ORACLE, 20, 120),
+            (7, Some(2), names::ORACLE, 400, 450),
+        ];
+        for (id, parent, name, start_ns, end_ns) in spans {
+            let (id, parent) = (SpanId(id), parent.map(SpanId));
+            sink.record(Event::SpanStart { id, parent, name, index: None, start_ns });
+            sink.record(Event::SpanEnd { id, end_ns });
+        }
+        let tl = PhaseTimeline::from_spans(&sink.spans()).expect("reduction root present");
+        assert_eq!(tl.phases[0].oracle_ns, 230 + 100 + 50);
+        assert_eq!(tl.phases[0].oracle_attempts, 3);
+        assert_eq!(tl.oracle_ns, 230 + 100 + 50);
     }
 
     #[test]

@@ -34,8 +34,7 @@ use pslocal::maxis::{
     TracedOracle,
 };
 use pslocal::telemetry::{
-    event_to_json, render_tree, AggregateSink, Counter, JsonlSink, MemorySink, PhaseTimeline,
-    Telemetry,
+    event_to_json, render_tree, AggregateSink, JsonlSink, MemorySink, PhaseTimeline, Telemetry,
 };
 use rand::SeedableRng;
 use std::io::{Read as _, Write as _};
@@ -51,7 +50,7 @@ USAGE:
   pslocal stats                 (reads a graph or hypergraph on stdin)
   pslocal maxis [--oracle O] [--threads T] [--seed S]        (graph on stdin)
   pslocal reduce --k K [--oracle O] [--threads T] [--seed S]
-                 [--kernel auto|csr|bitset] [--oracle-cache] (hypergraph on stdin)
+                 [--kernel auto|csr|bitset]           (hypergraph on stdin)
   pslocal trace-report [--n N] [--m M] [--k K] [--oracle O] [--seed S]
                                 (run a planted reduction, render the
                                  span tree + per-phase timeline)
@@ -99,16 +98,13 @@ KERNEL (reduce):
                         auto (default; density heuristic), csr, bitset.
                         Identical output on every route, only the cost
                         differs
-  --oracle-cache        memoize whole-phase oracle answers by conflict-
-                        graph fingerprint (hits re-verified, counted as
-                        oracle_cache_hit instead of oracle_calls)
 
 BATCH (batched multi-instance serving):
   stdin: one flat JSON object per line. Fields: \"id\" (string,
   required), \"n\"/\"m\"/\"k\"/\"seed\"/\"epsilon\" (planted instance;
   defaults 128 / n/2 / 4 / 0xC0FFEE / 0.5), \"oracle\" (comma-separated
   fallback chain, default greedy), \"kernel\" (auto|csr|bitset),
-  \"oracle_cache\" (bool), \"deadline_ms\" (per-request override),
+  \"deadline_ms\" (per-request override),
   \"faults\" (comma script injected into the primary oracle: - | panic |
   invalid-set | empty-set | under-deliver | stall:N).
   stdout: one JSON line per request in completion order —
@@ -161,18 +157,8 @@ ORACLES: exact | greedy | luby | clique-removal | decomposition
 FORMATS: see pslocal_graph::io (p graph / p hypergraph headers)";
 
 /// Options that are flags (no value argument follows them).
-const BOOLEAN_FLAGS: &[&str] = &[
-    "trace",
-    "resume",
-    "oracle-cache",
-    "stats",
-    "shutdown",
-    "ping",
-    "deny",
-    "json",
-    "fix-hints",
-    "lock-order",
-];
+const BOOLEAN_FLAGS: &[&str] =
+    &["trace", "resume", "stats", "shutdown", "ping", "deny", "json", "fix-hints", "lock-order"];
 
 /// Minimal `--key value` argument map (with a few `--flag` booleans).
 struct Args {
@@ -430,7 +416,6 @@ fn cmd_reduce(args: &Args) -> Result<(), String> {
     let config = ReductionConfig {
         parallelism: threads_opt(args)?,
         kernel: kernel_opt(args)?,
-        oracle_cache: args.flag("oracle-cache"),
         ..ReductionConfig::new(k)
     };
     let oracle = oracle_by_name(args.get("oracle").unwrap_or("greedy"), seed)?;
@@ -670,12 +655,8 @@ struct BenchEntry {
     /// baseline the dense-route speedup claim is measured against.
     csr_reduction_ns: u128,
     phases: usize,
-    /// Oracle-memoization counters from the instrumented run (cache
-    /// enabled there so the columns are live; phase graphs within one
-    /// reduction are all distinct, so expect `misses == phases`).
-    oracle_cache_hits: u64,
-    oracle_cache_misses: u64,
-    /// Telemetry-derived split of one instrumented reduction run:
+    /// Telemetry-derived split of one instrumented reduction run of the
+    /// same config as `reduction_ns`:
     /// conflict-graph construction (initial build + per-phase restricts),
     /// oracle time, commit time, and the whole reduction span.
     tel_build_ns: u64,
@@ -1010,13 +991,10 @@ fn cmd_bench_report(args: &Args) -> Result<(), String> {
         // timings above cannot separate inside `reduce_cf_to_maxis`.
         // Best-of-`iters` keeps one-shot scheduling outliers (thread
         // spawn on the sharded build) out of the published split.
-        // Memoization is enabled here so the cache columns are live.
-        let mut traced_config = ReductionConfig::new(k);
-        traced_config.oracle_cache = true;
         let mut best: Option<(PhaseTimeline, MemorySink)> = None;
         for _ in 0..iters.max(1) {
             let tel = Telemetry::new(MemorySink::new());
-            reduce_cf_to_maxis_traced(h, oracle.as_ref(), traced_config, &tel)
+            reduce_cf_to_maxis_traced(h, oracle.as_ref(), ReductionConfig::new(k), &tel)
                 .map_err(|e| format!("reduction failed on (n={n}, m={m}, k={k}): {e}"))?;
             let sink = tel.into_sink();
             let timeline = PhaseTimeline::from_spans(&sink.spans())
@@ -1045,8 +1023,6 @@ fn cmd_bench_report(args: &Args) -> Result<(), String> {
             reduction_ns,
             csr_reduction_ns,
             phases,
-            oracle_cache_hits: sink.counter_total(Counter::OracleCacheHits),
-            oracle_cache_misses: sink.counter_total(Counter::OracleCacheMisses),
             tel_build_ns: timeline.build_ns,
             tel_oracle_ns: timeline.oracle_ns,
             tel_commit_ns: timeline.commit_ns,
@@ -1103,7 +1079,7 @@ fn cmd_bench_report(args: &Args) -> Result<(), String> {
     // future PRs can diff perf trajectories mechanically.
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"pslocal-bench-reduction/v6\",\n");
+    json.push_str("  \"schema\": \"pslocal-bench-reduction/v7\",\n");
     json.push_str(&format!("  \"oracle\": \"{}\",\n", oracle.name()));
     json.push_str(&format!("  \"seed\": {seed},\n"));
     json.push_str(&format!("  \"iters\": {iters},\n"));
@@ -1114,7 +1090,6 @@ fn cmd_bench_report(args: &Args) -> Result<(), String> {
              \"conflict_edges\": {}, \"kernel\": \"{}\", \"phases\": {}, \"build_ns\": {}, \
              \"oracle_ns\": {}, \"reduction_ns\": {}, \"csr_reduction_ns\": {}, \
              \"kernel_speedup\": {:.2}, \"build_ns_per_edge\": {:.2}, \
-             \"oracle_cache_hits\": {}, \"oracle_cache_misses\": {}, \
              \"tel_build_ns\": {}, \"tel_oracle_ns\": {}, \"tel_commit_ns\": {}, \
              \"tel_reduction_ns\": {}}}{}\n",
             e.n,
@@ -1130,8 +1105,6 @@ fn cmd_bench_report(args: &Args) -> Result<(), String> {
             e.csr_reduction_ns,
             e.kernel_speedup(),
             e.build_ns_per_edge(),
-            e.oracle_cache_hits,
-            e.oracle_cache_misses,
             e.tel_build_ns,
             e.tel_oracle_ns,
             e.tel_commit_ns,
@@ -1201,7 +1174,7 @@ fn cmd_bench_report(args: &Args) -> Result<(), String> {
     for e in &entries {
         println!(
             "n={} m={} k={}: |V|={} |E|={} [{}] build={}us oracle={}us reduce={}us \
-             (csr {}us, {:.2}x; {} phases, {:.1} ns/edge, cache {}h/{}m)",
+             (csr {}us, {:.2}x; {} phases, {:.1} ns/edge)",
             e.n,
             e.m,
             e.k,
@@ -1215,8 +1188,6 @@ fn cmd_bench_report(args: &Args) -> Result<(), String> {
             e.kernel_speedup(),
             e.phases,
             e.build_ns_per_edge(),
-            e.oracle_cache_hits,
-            e.oracle_cache_misses,
         );
         println!(
             "    telemetry split: build={}us oracle={}us commit={}us total={}us",

@@ -14,9 +14,11 @@
 // `ResilientFailure` deliberately carries the salvaged partial outcome.
 #![allow(clippy::result_large_err)]
 
+use pslocal::cfcolor::Multicoloring;
 use pslocal::core::{
     reduce_cf_resilient, reduce_cf_resilient_resumable, reduce_cf_to_maxis,
-    reduce_cf_to_maxis_resumable, Checkpointing, CrashPlan, ReductionConfig, ResilientConfig,
+    reduce_cf_to_maxis_resumable, Checkpointing, CrashPlan, FaultEvent, PhaseJournal, PhaseRecord,
+    ReductionConfig, ResilientConfig,
 };
 use pslocal::graph::generators::hyper::{
     multi_component_cf_instance, planted_cf_instance, PlantedCfParams,
@@ -28,7 +30,7 @@ use pslocal::maxis::{
 use pslocal::telemetry::Telemetry;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A fresh, collision-free checkpoint directory per crash scenario.
@@ -230,4 +232,94 @@ fn a_crash_inside_the_oracle_itself_kills_the_run_and_resumes_cleanly() {
     assert_eq!(out.retries, base.retries);
     assert_eq!(out.fault_log, base.fault_log);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Committed journals written by [`fixture_run`]'s three runs before the
+/// two reduction drivers were merged into one phase loop. Comparing
+/// against them catches format drift (`quota_required`, `chain_calls`,
+/// event order) that a suite writing and reading journals with one
+/// build cannot see. After a deliberate format change, rewrite them
+/// with `PSLOCAL_BLESS_JOURNALS=1 cargo test --test resume_equivalence
+/// journal_fixtures`.
+const FIXTURE_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/journals");
+
+const FIXTURES: [&str; 3] = ["trusting-serial", "trusting-parallel", "resilient-faults"];
+
+/// What a fixture run produced: records, coloring, fault log, and how
+/// many phases were replayed from the journal.
+type FixtureOutput = (Vec<PhaseRecord>, Multicoloring, Vec<FaultEvent>, usize);
+
+/// Runs fixture `name` checkpointing into `ckpt`. The resilient run
+/// uses a fault script that costs a retry in phase 0 and engages the
+/// fallback in phase 1.
+fn fixture_run(name: &str, ckpt: &Checkpointing) -> FixtureOutput {
+    let k = 3;
+    let tel = Telemetry::disabled();
+    let trusting = |h: &Hypergraph, threads: usize| {
+        let config = ReductionConfig::new(k).with_threads(threads);
+        let (out, report) = reduce_cf_to_maxis_resumable(h, &weak_oracle(), config, ckpt, &tel)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        (out.records, out.coloring, Vec::new(), report.phases_recovered)
+    };
+    match name {
+        "trusting-serial" => trusting(&planted(40, 40, 18, k), 1),
+        "trusting-parallel" => trusting(&multi_component(41, 4, k), 4),
+        "resilient-faults" => {
+            let h = planted(45, 40, 18, k);
+            let script = vec![
+                Some(FaultKind::InvalidSet), // phase 0: one retry
+                None,
+                Some(FaultKind::InvalidSet), // phase 1: both attempts fail…
+                Some(FaultKind::InvalidSet), // …so the fallback answers
+            ];
+            let primary = FaultyOracle::new(weak_oracle(), FaultPlan::scripted(script));
+            let fallback = weak_oracle();
+            let chain: &[&dyn pslocal::maxis::MaxIsOracle] = &[&primary, &fallback];
+            let config = ResilientConfig { max_retries: 1, ..ResilientConfig::new(k) };
+            let (out, report) = reduce_cf_resilient_resumable(&h, chain, config, ckpt, &tel)
+                .unwrap_or_else(|e| panic!("{name}: {}", e.error));
+            assert_eq!(out.fallbacks_engaged, 1, "{name}: the fallback must engage once");
+            assert!(out.retries >= 1, "{name}: the script must cost a retry");
+            let recovered = report.phases_recovered;
+            (out.reduction.records, out.reduction.coloring, out.fault_log, recovered)
+        }
+        other => panic!("unknown fixture {other}"),
+    }
+}
+
+#[test]
+fn journal_fixtures_are_written_byte_identically_and_resume() {
+    for name in FIXTURES {
+        let dir = ckpt_dir(name);
+        let base = fixture_run(name, &Checkpointing::new(&dir));
+        assert!(base.0.len() >= 2, "{name}: need a multi-phase run");
+        let written = std::fs::read(PhaseJournal::file_path(&dir)).unwrap();
+        let fixture_path = Path::new(FIXTURE_DIR).join(format!("{name}.psj"));
+        let _ = std::fs::remove_dir_all(&dir);
+        if std::env::var_os("PSLOCAL_BLESS_JOURNALS").is_some() {
+            std::fs::create_dir_all(FIXTURE_DIR).unwrap();
+            std::fs::write(&fixture_path, &written).unwrap();
+            continue;
+        }
+        let fixture = std::fs::read(&fixture_path)
+            .unwrap_or_else(|e| panic!("{name}: missing fixture {}: {e}", fixture_path.display()));
+        assert!(written == fixture, "{name}: journal bytes drifted from the committed fixture");
+
+        // Resume from the whole fixture (pure replay) and from its
+        // first phase only (replay, then live phases that must pick up
+        // the journaled oracle-call positions).
+        for keep in [base.0.len(), 1] {
+            let dir = ckpt_dir(name);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(PhaseJournal::file_path(&dir), &fixture).unwrap();
+            let (journal, _) = PhaseJournal::open(&dir).unwrap();
+            journal.expect("fixture parses").truncate_phases(keep).unwrap();
+            let resumed = fixture_run(name, &Checkpointing::new(&dir).resuming());
+            assert_eq!(resumed.3, keep, "{name}: phases replayed from the fixture");
+            assert_eq!(resumed.0, base.0, "{name} keep {keep}: records");
+            assert_eq!(resumed.1, base.1, "{name} keep {keep}: coloring");
+            assert_eq!(resumed.2, base.2, "{name} keep {keep}: fault log");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
