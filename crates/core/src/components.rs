@@ -1,6 +1,6 @@
 //! Component-parallel phase execution: connected components of the
-//! conflict graph, a deterministic scoped-thread executor, and the
-//! disjointness-checked independent-set merge.
+//! conflict graph, a deterministic largest-first scoped-thread
+//! scheduler, and the disjointness-checked independent-set merge.
 //!
 //! Independent sets compose across connected components: if
 //! `G = C_0 ⊎ C_1 ⊎ …` and `I_j` is an independent set of `C_j`, then
@@ -15,28 +15,45 @@
 //! components concurrently inside a phase without changing what the
 //! phase commits.
 //!
-//! Three pieces implement that:
+//! The components of `G_k` need not be searched for in `G_k`: every
+//! edge between two different hyperedges' blocks requires `e ∩ g ≠ ∅`,
+//! and (for `k ≥ 2`) one shared vertex suffices for an `E_vertex`
+//! edge. So the components of `G_k` are the components of the residual
+//! hypergraph's hyperedge-intersection structure.
 //!
-//! * [`ComponentPartition`] — connected components off the sorted CSR
-//!   rows in `O(V + E)` (iterative BFS; component ids are ordered by
-//!   smallest member node, so the labeling is canonical);
-//! * [`ComponentExecutor`] — runs one job per component on up to `N`
+//! * [`HyperedgePartition`] — those components, by union-find over the
+//!   hypergraph's vertices in `O(n + Σ|e|)`, without reading `G_k`'s
+//!   adjacency. Ids and member lists are exactly
+//!   [`ComponentPartition::of`]`(cg.graph())`'s. The reduction drivers
+//!   use it: each component's `G_k` is **built directly** from its own
+//!   hyperedges in the worker that claims it, so the kernel choice
+//!   (`KernelStrategy::Auto`) applies per component, and the whole
+//!   graph's CSR is never materialized for the split. The per-component
+//!   sets merge back through block offsets
+//!   ([`HyperedgePartition::merge`]).
+//! * [`ComponentPartition`] — connected components of any [`Graph`]
+//!   off its sorted CSR rows in `O(V + E)` (iterative BFS; component ids
+//!   are ordered by smallest member node, so the labeling is canonical).
+//!   [`ComponentExecutor`] runs one job per component on an **extracted**
+//!   induced subgraph; the CLI's `maxis --threads N` uses it on plain
+//!   graphs.
+//! * Both run on one scheduler: one job per component on up to `N`
 //!   scoped worker threads, **largest component first** (classic
 //!   longest-processing-time scheduling to bound the makespan), with
 //!   results slotted by component id, so the output is independent of
-//!   the worker count and bit-reproducible;
-//! * [`ComponentExecutor::merge`] — maps per-component independent sets
-//!   back to global vertex ids and re-verifies both disjointness (a
-//!   machine-checked invariant: every global vertex claimed exactly
-//!   once, by its own component) and independence
-//!   ([`IndependentSet::new`]).
+//!   the worker count and bit-reproducible.
+//! * Both merges map per-component independent sets back to global
+//!   vertex ids and re-verify disjointness (a machine-checked
+//!   invariant: every global vertex claimed exactly once, by its own
+//!   component) and independence on the whole graph.
 //!
 //! [`ParallelismOptions`] is the opt-in knob shared by
 //! [`ReductionConfig`](crate::ReductionConfig) (and, through its `base`
 //! field, the resilient driver): the default of one thread keeps both
 //! drivers on their exact historical serial path.
 
-use pslocal_graph::{csr, Graph, IndependentSet, NodeId};
+use crate::conflict_graph::ConflictGraph;
+use pslocal_graph::{csr, Graph, HyperedgeId, IndependentSet, NodeId};
 use pslocal_maxis::MaxIsOracle;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -166,17 +183,233 @@ impl ComponentPartition {
     }
 }
 
-/// Runs one job per connected component on up to `N` scoped worker
-/// threads, deterministically.
+/// The connected components of a phase conflict graph `G_k`, read off
+/// its hypergraph by union-find over the vertices in `O(n + Σ|e|)`.
 ///
-/// Scheduling is **largest component first** (ties broken by component
-/// id): workers atomically claim the next unclaimed component from that
+/// Two hyperedges' blocks are adjacent in `G_k` exactly when the
+/// hyperedges share a vertex `w`: `(e,w,0)`–`(g,w,1)` is an `E_vertex`
+/// edge for `k ≥ 2`. For `k = 1` (no `E_vertex` edges) the `E_color`
+/// family joins them instead, unless both are the same one-vertex
+/// hyperedge `{w}`: the proof-faithful `E_color` needs two distinct
+/// vertices, so such a hyperedge joins `w`'s component only through a
+/// larger hyperedge containing `w`. Each block is an `E_edge` clique.
+///
+/// Component `c` is the one containing the `c`-th smallest "first"
+/// hyperedge. Blocks are contiguous and ordered by hyperedge, so these
+/// are the ids, and [`members`](Self::members) the sorted member lists,
+/// of [`ComponentPartition::of`]`(cg.graph())`.
+#[derive(Debug, Clone)]
+pub struct HyperedgePartition {
+    /// Per-component hyperedges (ids of `cg.hypergraph()`), ascending.
+    edges: Vec<Vec<HyperedgeId>>,
+    /// Per-component `G_k` node counts (`k · Σ_{e ∈ c} |e|`).
+    nodes: Vec<usize>,
+}
+
+impl HyperedgePartition {
+    /// Partitions `cg`'s hypergraph into the components of `cg`.
+    pub fn of(cg: &ConflictGraph) -> Self {
+        let h = cg.hypergraph();
+        let k = cg.k();
+        // One-vertex hyperedges need a larger hyperedge through their
+        // vertex to join its component when k = 1 (see the type docs).
+        let any_shared_vertex_joins = k >= 2 || cg.options().literal_ecolor;
+        let mut parent: Vec<u32> = (0..h.node_count() as u32).collect();
+        let mut in_larger = vec![false; if any_shared_vertex_joins { 0 } else { h.node_count() }];
+        for e in h.edge_ids() {
+            let members = h.edge(e);
+            if members.len() < 2 {
+                continue;
+            }
+            let root = find(&mut parent, members[0].index());
+            for &v in &members[1..] {
+                let r = find(&mut parent, v.index());
+                parent[r as usize] = root;
+            }
+            if !any_shared_vertex_joins {
+                for &v in members {
+                    in_larger[v.index()] = true;
+                }
+            }
+        }
+        // Label components in first-hyperedge order: `label[root]` is
+        // the component id of a vertex root, once seen.
+        let mut label = vec![u32::MAX; h.node_count()];
+        let mut edges: Vec<Vec<HyperedgeId>> = Vec::new();
+        let mut nodes: Vec<usize> = Vec::new();
+        for e in h.edge_ids() {
+            let members = h.edge(e);
+            let joins =
+                any_shared_vertex_joins || members.len() >= 2 || in_larger[members[0].index()];
+            let root = joins.then(|| find(&mut parent, members[0].index()) as usize);
+            let c = match root.map(|r| label[r]) {
+                Some(c) if c != u32::MAX => c as usize,
+                _ => {
+                    if let Some(r) = root {
+                        label[r] = edges.len() as u32;
+                    }
+                    edges.push(Vec::new());
+                    nodes.push(0);
+                    edges.len() - 1
+                }
+            };
+            edges[c].push(e);
+            nodes[c] += members.len() * k;
+        }
+        HyperedgePartition { edges, nodes }
+    }
+
+    /// Number of components (0 for a hypergraph without hyperedges).
+    pub fn len(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// Whether there are no components at all.
+    pub fn is_empty(&self) -> bool {
+        self.edges.is_empty()
+    }
+
+    /// The hyperedges of component `c`, ascending — the residual edges
+    /// its Lemma 2.1 quota counts, and the keep-list whose
+    /// [`restrict_edges`](pslocal_graph::Hypergraph::restrict_edges)
+    /// builds the component's own `G_k`.
+    pub fn edges(&self, c: usize) -> &[HyperedgeId] {
+        &self.edges[c]
+    }
+
+    /// `G_k` node count of component `c`.
+    pub fn node_count(&self, c: usize) -> usize {
+        self.nodes[c]
+    }
+
+    /// Node count of the largest component (0 if there are none).
+    pub fn largest_size(&self) -> usize {
+        self.nodes.iter().copied().max().unwrap_or(0)
+    }
+
+    /// The sorted global `G_k` nodes of component `c`: its hyperedges'
+    /// blocks, concatenated in hyperedge order. Local node `i` of the
+    /// component's own `G_k` is `members(cg, c)[i]`.
+    pub fn members(&self, cg: &ConflictGraph, c: usize) -> Vec<NodeId> {
+        let mut out = Vec::with_capacity(self.nodes[c]);
+        for &e in &self.edges[c] {
+            let start = cg.block_start(e).index();
+            let len = cg.hypergraph().edge_size(e) * cg.k();
+            out.extend((start..start + len).map(NodeId::new));
+        }
+        out
+    }
+
+    /// Merges per-component independent sets (local node ids of each
+    /// component's own `G_k`, indexed by component id) into one
+    /// verified independent set of `cg`. Local ids map to global ones
+    /// through [`members`](Self::members); the map is monotone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the merge violates its machine-checked invariants: a
+    /// local vertex out of its component's range, a global vertex
+    /// claimed twice, or — impossible for genuinely disjoint components
+    /// — a cross-component adjacency surfacing in the final
+    /// [`ConflictGraph::verify_independent`] re-check.
+    pub fn merge(&self, cg: &ConflictGraph, locals: Vec<IndependentSet>) -> IndependentSet {
+        assert_eq!(locals.len(), self.len(), "one set per component");
+        let mut claimed = vec![false; cg.node_count()];
+        let mut global: Vec<NodeId> = Vec::with_capacity(locals.iter().map(|s| s.len()).sum());
+        for (c, local) in locals.iter().enumerate() {
+            let members = self.members(cg, c);
+            for v in local.iter() {
+                let g = *members
+                    .get(v.index())
+                    // pslocal: allow(panic-path, "a local vertex past the component's last block is an oracle or partition bug; merging it would corrupt the global set")
+                    .unwrap_or_else(|| panic!("component {c}: local vertex {v} out of range"));
+                assert!(
+                    !claimed[g.index()],
+                    "disjointness violated: vertex {g} claimed twice during merge"
+                );
+                claimed[g.index()] = true;
+                global.push(g);
+            }
+        }
+        let set = IndependentSet::new_unchecked(global);
+        assert!(
+            cg.verify_independent(&set),
+            "union of per-component independent sets is independent"
+        );
+        set
+    }
+}
+
+/// Union-find root of `v`, halving the path on the way.
+fn find(parent: &mut [u32], mut v: usize) -> u32 {
+    while parent[v] as usize != v {
+        let grand = parent[parent[v] as usize];
+        parent[v] = grand;
+        v = grand as usize;
+    }
+    v as u32
+}
+
+/// Runs `job(worker_state, c)` for every component `c` of the given
+/// `sizes`, **largest first** (ties by id), on up to `threads` scoped
+/// workers, and returns the results indexed by component id.
+///
+/// Workers atomically claim the next unclaimed component from that
 /// fixed order, so big components start as early as possible and the
-/// wall clock approaches `max(largest component, total / N)`. Results
-/// are slotted by component id, so the returned vector — and anything
-/// merged from it — is identical for every worker count, including 1:
-/// runs are bit-reproducible and a thread-count sweep is a pure
-/// performance experiment.
+/// wall clock approaches `max(largest, total / N)`; every worker owns
+/// one `new_worker()` state it lends to each of its jobs. The result
+/// vector is the same for every thread count. A panic inside `job`
+/// propagates to the caller once all workers have been joined.
+pub(crate) fn largest_first<W, T, F>(
+    sizes: &[usize],
+    threads: usize,
+    new_worker: impl Fn() -> W + Sync,
+    job: F,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&mut W, usize) -> T + Sync,
+{
+    let jobs = sizes.len();
+    let mut order: Vec<usize> = (0..jobs).collect();
+    order.sort_by_key(|&c| (std::cmp::Reverse(sizes[c]), c));
+    let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut state = new_worker();
+        while let Some(&c) = order.get(cursor.fetch_add(1, Ordering::SeqCst)) {
+            let out = job(&mut state, c);
+            // pslocal: allow(panic-path, "each slot is written exactly once by one worker, so the lock can only poison if job() already panicked on this thread")
+            *slots[c].lock().expect("component result slot") = Some(out);
+        }
+    };
+    if threads.min(jobs) <= 1 {
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..threads.min(jobs) {
+                scope.spawn(work);
+            }
+        });
+    }
+    slots
+        .into_iter()
+        .map(|slot| {
+            // pslocal: allow(panic-path, "all workers joined before collection: a None slot or poisoned lock means a scheduling bug that must not be silently dropped")
+            slot.into_inner().expect("slot lock").expect("every scheduled component ran")
+        })
+        .collect()
+}
+
+/// Runs one job per connected component of a [`Graph`] on up to `N`
+/// scoped worker threads, deterministically, each on the component's
+/// extracted induced subgraph.
+///
+/// Scheduling is the shared **largest component first** scheduler
+/// (ties broken by component id). Results are slotted by component id,
+/// so the returned vector — and anything merged from it — is identical
+/// for every worker count, including 1: runs are bit-reproducible and a
+/// thread-count sweep is a pure performance experiment.
 #[derive(Debug)]
 pub struct ComponentExecutor<'g> {
     graph: &'g Graph,
@@ -220,40 +453,14 @@ impl<'g> ComponentExecutor<'g> {
         T: Send,
         F: Fn(usize, &Graph) -> T + Sync,
     {
-        let jobs = self.partition.len();
-        let mut order: Vec<usize> = (0..jobs).collect();
-        order.sort_by_key(|&c| (std::cmp::Reverse(self.partition.members(c).len()), c));
-        let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-        let run_one = |c: usize| {
-            let sub = self.partition.subgraph(self.graph, c);
-            let out = job(c, &sub);
-            // pslocal: allow(panic-path, "each slot is written exactly once by one worker, so the lock can only poison if job() already panicked on this thread")
-            *slots[c].lock().expect("component result slot") = Some(out);
-        };
-        let workers = self.threads.min(jobs);
-        if workers <= 1 {
-            for &c in &order {
-                run_one(c);
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::SeqCst);
-                        let Some(&c) = order.get(i) else { break };
-                        run_one(c);
-                    });
-                }
-            });
-        }
-        slots
-            .into_iter()
-            .map(|slot| {
-                // pslocal: allow(panic-path, "all workers joined before collection: a None slot or poisoned lock means a scheduling bug that must not be silently dropped")
-                slot.into_inner().expect("slot lock").expect("every scheduled component ran")
-            })
-            .collect()
+        let sizes: Vec<usize> =
+            (0..self.partition.len()).map(|c| self.partition.members(c).len()).collect();
+        largest_first(
+            &sizes,
+            self.threads,
+            || (),
+            |_, c| job(c, &self.partition.subgraph(self.graph, c)),
+        )
     }
 
     /// Merges per-component independent sets (local vertex ids, indexed
@@ -435,6 +642,24 @@ mod tests {
         assert!(!serial.should_decompose(), "one thread: serial fast path");
         assert!(!ParallelismOptions::serial().is_parallel());
         assert!(ParallelismOptions::default() == ParallelismOptions::serial());
+    }
+
+    #[test]
+    fn hyperedge_merge_maps_local_ids_through_block_offsets() {
+        // {0,1} and {2} share no vertex: two components, blocks 0..4
+        // and 4..6 at k = 2.
+        let h = pslocal_graph::Hypergraph::from_edges(3, [vec![0, 1], vec![2]]).unwrap();
+        let cg = ConflictGraph::build(&h, 2);
+        let split = HyperedgePartition::of(&cg);
+        assert_eq!(split.len(), 2);
+        assert_eq!(split.members(&cg, 1), vec![NodeId::new(4), NodeId::new(5)]);
+        let local = |v: usize| IndependentSet::new_unchecked(vec![NodeId::new(v)]);
+        let set = split.merge(&cg, vec![local(1), local(0)]);
+        assert_eq!(set.vertices(), &[NodeId::new(1), NodeId::new(4)]);
+        let out_of_range = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            split.merge(&cg, vec![IndependentSet::empty(), local(2)])
+        }));
+        assert!(out_of_range.is_err(), "component 1 has two local nodes");
     }
 
     #[test]

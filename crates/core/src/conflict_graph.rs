@@ -371,9 +371,9 @@ impl ConflictGraph {
     /// Because every block is an `E_edge` clique, a block never splits
     /// across connected components of `G_k`; the component of
     /// `block_start(e)` is therefore *the* component owning hyperedge
-    /// `e` — the fact the component-parallel executor
-    /// ([`crate::components`]) uses to apply the Lemma 2.1 delivery
-    /// quota per component.
+    /// `e`. The component-parallel drivers map each component's own
+    /// `G_k` back to this graph through these offsets
+    /// ([`HyperedgePartition::merge`](crate::components::HyperedgePartition::merge)).
     ///
     /// # Panics
     ///
@@ -442,7 +442,7 @@ impl ConflictGraph {
     /// Re-validates a claimed independent set against `G_k` (range
     /// check plus full adjacency re-check) on whichever representation
     /// is resident — the resilient driver's acceptance check and the
-    /// oracle cache's fingerprint-collision check.
+    /// component merge's whole-graph re-check.
     pub fn verify_independent(&self, set: &IndependentSet) -> bool {
         if let Some(bits) = &self.bits {
             return bits.is_independent_set(set.vertices()).is_none();

@@ -26,9 +26,7 @@
 //! [`DistributedPhase::stalled_rounds`] — on clean runs the field is 0
 //! and the bill reduces to the paper's.
 
-use crate::reduction::{
-    run_phases, Acquisition, CallSite, ReductionConfig, ReductionError, Site, Solved,
-};
+use crate::reduction::{run_phases, Acquisition, ReductionConfig, ReductionError, Site, Solved};
 use crate::resilient::FaultEvent;
 use crate::simulation::simulate_in_hypergraph;
 use crate::sync::lock_unpoisoned;
@@ -151,10 +149,7 @@ impl<O: MaxIsOracle + ?Sized> Acquisition for OnLocalSimulator<'_, O> {
         calls: &mut [u64],
         _fault: &mut impl FnMut(FaultEvent),
     ) -> Solved {
-        let CallSite::Phase(cg, _) = site.graph else {
-            // pslocal: allow(panic-path, "run_phases only decomposes with threads > 1, and this pipeline always runs serially")
-            unreachable!("the distributed pipeline runs serially");
-        };
+        let cg = site.graph.cg;
         let sim = simulate_in_hypergraph(cg);
         let (set, oracle_rounds) = self.oracle.independent_set_with_rounds(cg.graph());
         site.span.add(site.calls_counter, 1);

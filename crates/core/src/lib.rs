@@ -86,7 +86,8 @@ pub mod workspace;
 
 pub use completeness::{completeness_on_instance, CompletenessReport};
 pub use components::{
-    parallel_independent_set, ComponentExecutor, ComponentPartition, ParallelismOptions,
+    parallel_independent_set, ComponentExecutor, ComponentPartition, HyperedgePartition,
+    ParallelismOptions,
 };
 pub use conflict_graph::{
     BuildStrategy, ConflictGraph, ConflictGraphOptions, FamilyCounts, Triple,
@@ -114,7 +115,9 @@ pub use resilient::{
     reduce_cf_resilient_with_workspace, stall_budget, FaultEvent, FaultEventKind, PartialOutcome,
     ResilientConfig, ResilientFailure, ResilientOutcome,
 };
-pub use server::{Server, ServerConfig, ServerReport, ShutdownHandle, DEFAULT_MAX_CONNECTIONS};
+pub use server::{
+    Server, ServerConfig, ServerReport, ShutdownHandle, DEFAULT_MAX_CONNECTIONS, MAX_LINE_BYTES,
+};
 pub use service::{
     BoxedOracle, QueueFull, RequestOutcome, Service, ServiceConfig, ServiceReport, ServiceRequest,
     ServiceResponse, DEFAULT_QUEUE_CAPACITY,

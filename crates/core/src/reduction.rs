@@ -28,7 +28,7 @@
 //! with retries, validation, and panic isolation; the distributed
 //! pipeline ([`crate::distributed`]) bills each call's LOCAL rounds.
 
-use crate::components::{ComponentExecutor, ParallelismOptions};
+use crate::components::{largest_first, HyperedgePartition, ParallelismOptions};
 use crate::conflict_graph::{ConflictGraph, ConflictGraphOptions};
 use crate::correspondence;
 use crate::recovery::{
@@ -40,7 +40,7 @@ use crate::resilient::{
 use crate::workspace::PhaseWorkspace;
 use pslocal_cfcolor::{checker, Multicoloring};
 use pslocal_graph::{
-    BitsetScratch, Graph, HyperedgeId, Hypergraph, IndependentSet, KernelStrategy, Palette,
+    BitsetScratch, HyperedgeId, Hypergraph, IndependentSet, KernelStrategy, Palette,
 };
 use pslocal_maxis::{ApproxGuarantee, CrashPoint, MaxIsOracle};
 use pslocal_slocal::LocalityBudget;
@@ -459,52 +459,40 @@ pub(crate) fn lambda_for_phase<O: MaxIsOracle + ?Sized>(
     oracle.lambda_for(cg.graph())
 }
 
-/// The graph one oracle call runs on.
-pub(crate) enum CallSite<'a> {
-    /// The whole phase conflict graph (the serial path). Calls take the
-    /// word-parallel dense kernel
-    /// ([`MaxIsOracle::independent_set_dense`], byte-identical by the
-    /// oracle's dense contract) when the graph was built on the bitset
-    /// route and the oracle supports it. The scratch is state-free
-    /// across calls, so a caught panic mid-kernel cannot poison a retry.
-    Phase(&'a ConflictGraph, &'a mut BitsetScratch),
-    /// One component's induced subgraph (the component path).
-    Component(&'a Graph),
+/// The graph one oracle call runs on: a phase conflict graph — the
+/// whole one on the serial path, one component's own `G_k` on the
+/// component path. Calls take the word-parallel dense kernel
+/// ([`MaxIsOracle::independent_set_dense`], byte-identical by the
+/// oracle's dense contract) when the graph was built on the bitset
+/// route and the oracle supports it. The scratch is state-free across
+/// calls, so a caught panic mid-kernel cannot poison a retry.
+pub(crate) struct CallSite<'a> {
+    /// The conflict graph the oracle is called on.
+    pub cg: &'a ConflictGraph,
+    /// The dense kernel's scratch (one per worker).
+    pub scratch: &'a mut BitsetScratch,
 }
 
 impl CallSite<'_> {
     /// Asks `oracle` for an independent set of this site's graph.
     pub(crate) fn call<O: MaxIsOracle + ?Sized>(&mut self, oracle: &O) -> IndependentSet {
-        match self {
-            CallSite::Phase(cg, scratch) => match cg.bitset() {
-                Some(bits) if oracle.supports_dense() => {
-                    oracle.independent_set_dense(bits, scratch)
-                }
-                _ => oracle.independent_set(cg.graph()),
-            },
-            CallSite::Component(sub) => oracle.independent_set(sub),
+        match self.cg.bitset() {
+            Some(bits) if oracle.supports_dense() => {
+                oracle.independent_set_dense(bits, self.scratch)
+            }
+            _ => oracle.independent_set(self.cg.graph()),
         }
     }
 
-    /// Whether `set` is independent in this site's graph, range-checked
-    /// first (`is_independent_set` panics on out-of-range vertices).
+    /// Whether `set` is independent in this site's graph (range check
+    /// plus full adjacency re-check).
     pub(crate) fn is_independent(&self, set: &IndependentSet) -> bool {
-        match self {
-            CallSite::Phase(cg, _) => cg.verify_independent(set),
-            CallSite::Component(sub) => {
-                let n = sub.node_count();
-                set.vertices().iter().all(|v| v.index() < n)
-                    && sub.is_independent_set(set.vertices())
-            }
-        }
+        self.cg.verify_independent(set)
     }
 
     /// `oracle`'s concrete λ on this site's graph.
     pub(crate) fn lambda<O: MaxIsOracle + ?Sized>(&self, oracle: &O) -> Option<f64> {
-        match self {
-            CallSite::Phase(cg, _) => lambda_for_phase(cg, oracle),
-            CallSite::Component(sub) => oracle.lambda_for(sub),
-        }
+        lambda_for_phase(self.cg, oracle)
     }
 }
 
@@ -517,10 +505,8 @@ pub(crate) struct Site<'a, S: Sink> {
     pub phase: usize,
     /// The component, on the component path; `None` on the serial path.
     pub component: Option<usize>,
-    /// Residual hyperedges the site covers: the Lemma 2.1 quota base.
-    /// Every hyperedge's triple block is an `E_edge` clique, so blocks
-    /// never split across components and the residual hyperedges
-    /// partition over them.
+    /// Residual hyperedges the site covers: the Lemma 2.1 quota base
+    /// (the hyperedges of the site's graph).
     pub edges: usize,
     /// Parent of the site's `oracle` spans (the phase or component span).
     pub span: &'a Span<'a, S>,
@@ -874,14 +860,17 @@ pub(crate) fn run_phases<P: Acquisition, S: Sink>(
 ///
 /// The serial path (one thread, or a connected/empty conflict graph) is
 /// one [`Site`] on the whole graph, with its `oracle` spans directly
-/// under the phase span. With `threads > 1` and a disconnected conflict
-/// graph, each component is one site on the [`ComponentExecutor`]
-/// (a fault retries only its component, never its siblings): the phase
-/// span gains `components` / `largest_component` counters and one
-/// `component` span per component holding that site's `oracle` spans,
+/// under the phase span. With `threads > 1` and at least two residual
+/// hyperedges, a `partition` span splits the phase's hypergraph into
+/// the components of `G_k` ([`HyperedgePartition`]). If there are
+/// several, each component is one site on its own `G_k`, built in the
+/// worker that claims it (a fault retries only its component, never its
+/// siblings): the phase span gains `components` / `largest_component`
+/// counters and one `component` span per component holding that
+/// component's `conflict-graph` build and its site's `oracle` spans,
 /// and the per-component sets merge under the machine-checked
-/// disjointness invariant. `Counter::OracleCalls` counts every oracle
-/// invocation either way.
+/// disjointness and independence checks. `Counter::OracleCalls` counts
+/// every oracle invocation either way.
 ///
 /// Returns the set, whether the primary answered everywhere, and the
 /// Lemma 2.1 quota enforced on it, which the journal records so replay
@@ -905,32 +894,39 @@ fn acquire_phase<P: Acquisition, S: Sink>(
     let Ledger { chain_calls, retries, fallbacks, fault_log } = ledger;
     // `Err((component, attempts))`: a site had every attempt rejected.
     let acquired = 'acquire: {
-        if parallelism.is_parallel() {
-            let exec = ComponentExecutor::new(cg.graph(), parallelism);
-            if exec.should_decompose() {
-                let parts = exec.partition().len();
+        // One residual hyperedge is one component: nothing to split.
+        if parallelism.is_parallel() && cg.hypergraph().edge_count() > 1 {
+            let partition_span = span!(phase_span, names::PARTITION);
+            let split = HyperedgePartition::of(cg);
+            partition_span.close();
+            if split.len() > 1 {
+                let parts = split.len();
                 phase_span.add(Counter::Components, parts as u64);
-                phase_span.add(Counter::LargestComponent, exec.partition().largest_size() as u64);
-                let mut comp_edges = vec![0usize; parts];
-                for e in cg.hypergraph().edge_ids() {
-                    comp_edges[exec.partition().component_of(cg.block_start(e))] += 1;
-                }
+                phase_span.add(Counter::LargestComponent, split.largest_size() as u64);
+                let sizes: Vec<usize> = (0..parts).map(|c| split.node_count(c)).collect();
                 let slots = chain_calls.len();
-                let results = exec.run(|c, sub| {
-                    let comp_span = span!(phase_span, names::COMPONENT, c);
-                    let site = Site {
-                        graph: CallSite::Component(sub),
-                        phase,
-                        component: Some(c),
-                        edges: comp_edges[c],
-                        span: &comp_span,
-                        calls_counter: Counter::ParallelOracleCalls,
-                    };
-                    let mut calls = vec![0u64; slots];
-                    let mut events = Vec::new();
-                    let solved = policy.solve(site, &mut calls, &mut |ev| events.push(ev));
-                    (solved, calls, events)
-                });
+                let results =
+                    largest_first(&sizes, parallelism.threads, BitsetScratch::new, |scratch, c| {
+                        let comp_span = span!(phase_span, names::COMPONENT, c);
+                        // The component's own G_k, on whichever kernel
+                        // Auto picks for it: the induced subgraph of `cg`
+                        // on the component's blocks, renumbered monotonely.
+                        let (h_c, _) = cg.hypergraph().restrict_edges(split.edges(c));
+                        let comp_cg =
+                            ConflictGraph::build_traced(&h_c, cg.k(), cg.options(), &comp_span);
+                        let site = Site {
+                            graph: CallSite { cg: &comp_cg, scratch },
+                            phase,
+                            component: Some(c),
+                            edges: split.edges(c).len(),
+                            span: &comp_span,
+                            calls_counter: Counter::ParallelOracleCalls,
+                        };
+                        let mut calls = vec![0u64; slots];
+                        let mut events = Vec::new();
+                        let solved = policy.solve(site, &mut calls, &mut |ev| events.push(ev));
+                        (solved, calls, events)
+                    });
                 // Aggregate in component-id order: the fault log, counters,
                 // and merge result are deterministic regardless of how
                 // workers interleaved.
@@ -973,12 +969,12 @@ fn acquire_phase<P: Acquisition, S: Sink>(
                 if let Some(c) = first_failed {
                     break 'acquire Err((Some(c), total_attempts));
                 }
-                break 'acquire Ok((exec.merge(locals), all_primary, 0));
+                break 'acquire Ok((split.merge(cg, locals), all_primary, 0));
             }
         }
 
         let site = Site {
-            graph: CallSite::Phase(cg, &mut ws.scratch),
+            graph: CallSite { cg, scratch: &mut ws.scratch },
             phase,
             component: None,
             edges: edges_before,
@@ -1253,7 +1249,18 @@ mod tests {
         let tel = Telemetry::new(MemorySink::new());
         let config = ReductionConfig::new(k).with_threads(2);
         reduce_cf_to_maxis_traced(&h.hypergraph, &GreedyOracle, config, &tel).unwrap();
-        let spans = tel.into_sink().spans();
+        let sink = tel.into_sink();
+        // The per-phase counters are those of the graph-level partition.
+        let first_cg = ConflictGraph::build(&h.hypergraph, k);
+        let graph_level = crate::ComponentPartition::of(first_cg.graph());
+        let phase0 = sink
+            .spans()
+            .into_iter()
+            .find(|s| s.name == names::PHASE && s.index == Some(0))
+            .expect("phase 0");
+        assert_eq!(phase0.counter(Counter::Components), graph_level.len() as u64);
+        assert_eq!(phase0.counter(Counter::LargestComponent), graph_level.largest_size() as u64);
+        let spans = sink.spans();
         assert!(spans.iter().any(|s| s.name == names::COMPONENT), "component path taken");
         let oracle_spans: Vec<_> = spans.iter().filter(|s| s.name == names::ORACLE).collect();
         let oracle_ns: u64 = oracle_spans.iter().map(|s| s.duration_ns()).sum();
@@ -1262,6 +1269,27 @@ mod tests {
         assert_eq!(timeline.oracle_ns, oracle_ns);
         let attempts: usize = timeline.phases.iter().map(|p| p.oracle_attempts).sum();
         assert_eq!(attempts, oracle_spans.len());
+        // The partition hangs under its phase, and each component builds
+        // its own conflict graph under its `component` span; the timeline
+        // attributes both (component builds fold into `build_ns`).
+        let named = |name: &'static str| spans.iter().filter(move |s| s.name == name);
+        let parent_name = |s: &pslocal_telemetry::SpanRecord| {
+            spans.iter().find(|p| Some(p.id) == s.parent).map(|p| p.name)
+        };
+        assert!(named(names::PARTITION).count() > 0);
+        assert!(named(names::PARTITION).all(|s| parent_name(s) == Some(names::PHASE)));
+        let partition_ns: u64 = named(names::PARTITION).map(|s| s.duration_ns()).sum();
+        assert_eq!(timeline.partition_ns, partition_ns);
+        let components = named(names::COMPONENT).count();
+        let component_builds: Vec<_> = named(names::CONFLICT_GRAPH)
+            .filter(|s| parent_name(s) == Some(names::COMPONENT))
+            .collect();
+        assert_eq!(component_builds.len(), components, "one build per component");
+        let build_ns: u64 = named(names::CONFLICT_GRAPH)
+            .chain(named(names::RESTRICT))
+            .map(|s| s.duration_ns())
+            .sum();
+        assert_eq!(timeline.build_ns, build_ns);
     }
 
     #[test]

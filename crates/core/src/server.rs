@@ -94,6 +94,13 @@ pub const DEFAULT_MAX_CONNECTIONS: usize = 64;
 /// flag — the upper bound on shutdown-notice latency per thread.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
+/// The longest request line a connection buffers, in bytes, terminator
+/// excluded. A longer line is discarded up to its `\n` and answered with
+/// one `bad_request` line; the connection keeps serving. Request lines
+/// are flat JSON objects of a few hundred bytes, so 64 KiB leaves wide
+/// headroom while bounding each connection's read buffer.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// Shape of a [`Server`]: the worker pool underneath plus the
 /// socket-layer limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -431,6 +438,14 @@ fn connection_loop<S: Sink + Send + Sync + 'static>(
         service.telemetry().add(Counter::BytesIn, reader.take_bytes());
         let line = match event {
             ReadEvent::Line(line) => line,
+            ReadEvent::TooLong => {
+                service.telemetry().add(Counter::BadRequests, 1);
+                let error = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                if writer_tx.send(WriterMsg::Block(bad_request_line(&error))).is_err() {
+                    break;
+                }
+                continue;
+            }
             // Draining: stop reading; in-flight responses still drain
             // through the writer below. Idle timeout and EOF likewise
             // just stop intake.
@@ -529,6 +544,9 @@ fn write_line<S: Sink + Send + Sync + 'static>(
 enum ReadEvent {
     /// A complete line (without its terminator).
     Line(String),
+    /// A line longer than [`MAX_LINE_BYTES`]; its bytes are discarded
+    /// through the next `\n`.
+    TooLong,
     /// The peer closed (or half-closed) its write side.
     Eof,
     /// The server-wide drain flag was observed.
@@ -543,11 +561,17 @@ enum ReadEvent {
 /// set, `read_line`'s error path can drop bytes that were already
 /// consumed into its buffer, silently corrupting the stream. This
 /// reader owns its buffer across timeouts, so a line split across poll
-/// slices is reassembled intact.
+/// slices is reassembled intact. The buffer never holds more than
+/// [`MAX_LINE_BYTES`] plus one read chunk, and each byte is searched for
+/// the terminator once.
 struct LineReader {
     stream: TcpStream,
     idle_timeout: Duration,
     buf: Vec<u8>,
+    /// Prefix of `buf` already searched for `\n` (none found there).
+    scanned: usize,
+    /// Dropping the rest of an over-long line, up to its `\n`.
+    discarding: bool,
     bytes: u64,
 }
 
@@ -556,7 +580,14 @@ impl LineReader {
         // Short read timeout = the poll slice; the real idle timeout
         // is enforced across slices in `read_line`.
         let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-        LineReader { stream, idle_timeout, buf: Vec::new(), bytes: 0 }
+        LineReader {
+            stream,
+            idle_timeout,
+            buf: Vec::new(),
+            scanned: 0,
+            discarding: false,
+            bytes: 0,
+        }
     }
 
     /// Bytes read since the last call (for the `bytes_in` counter).
@@ -567,13 +598,27 @@ impl LineReader {
     fn read_line(&mut self, draining: &AtomicBool) -> io::Result<ReadEvent> {
         let mut idle_since = Instant::now();
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
+            // `scanned` is set to `buf.len()` below and reset to 0
+            // wherever `buf` shrinks, so it is a valid slice start.
+            if let Some(i) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let pos = self.scanned + i;
+                self.scanned = 0;
                 let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
+                if pos > MAX_LINE_BYTES {
+                    return Ok(ReadEvent::TooLong);
+                }
                 line.pop();
                 if line.last() == Some(&b'\r') {
                     line.pop();
                 }
                 return Ok(ReadEvent::Line(String::from_utf8_lossy(&line).into_owned()));
+            }
+            self.scanned = self.buf.len();
+            if self.scanned > MAX_LINE_BYTES {
+                self.buf.clear();
+                self.scanned = 0;
+                self.discarding = true;
+                return Ok(ReadEvent::TooLong);
             }
             if draining.load(Ordering::SeqCst) {
                 return Ok(ReadEvent::Draining);
@@ -590,12 +635,20 @@ impl LineReader {
                     // A final line without a terminator still counts.
                     let line = String::from_utf8_lossy(&self.buf).into_owned();
                     self.buf.clear();
+                    self.scanned = 0;
                     return Ok(ReadEvent::Line(line));
                 }
                 Ok(n) => {
                     self.bytes += n as u64;
                     // read() returned n, so n <= chunk.len(): in bounds.
-                    self.buf.extend_from_slice(&chunk[..n]);
+                    let mut fresh = &chunk[..n];
+                    if self.discarding {
+                        let end = fresh.iter().position(|&b| b == b'\n');
+                        self.discarding = end.is_none();
+                        // `end < fresh.len()`, so `end + 1 <= fresh.len()`.
+                        fresh = end.map_or(&[], |end| &fresh[end + 1..]);
+                    }
+                    self.buf.extend_from_slice(fresh);
                     idle_since = Instant::now();
                 }
                 Err(e)

@@ -77,8 +77,13 @@ pub mod names {
     pub const PHASE: &str = "phase";
     /// One oracle invocation (index = attempt number where retried).
     pub const ORACLE: &str = "oracle";
+    /// Splitting a phase's conflict graph into its connected
+    /// components (component-parallel phases only).
+    pub const PARTITION: &str = "partition";
     /// One connected component solved by the component-parallel
-    /// executor (index = component id; children are its oracle calls).
+    /// executor (index = component id; children are the component's
+    /// conflict-graph build, on the reduction path, and its oracle
+    /// calls).
     pub const COMPONENT: &str = "component";
     /// Phase commit: decode, merge palette, rescan residual edges.
     pub const COMMIT: &str = "commit";

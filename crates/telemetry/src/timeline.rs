@@ -5,7 +5,7 @@
 //! [`MemorySink`](crate::MemorySink) reconstructs:
 //!
 //! * [`PhaseTimeline`] aggregates a Theorem 1.1 reduction's span tree
-//!   into the build / oracle / commit cost split per phase (the shape
+//!   into the build / partition / oracle / commit cost split per phase (the shape
 //!   the paper's ρ-phase analysis induces and `bench-report` tabulates);
 //! * [`render_tree`] renders any span forest as an indented tree with
 //!   durations, proportional bars, and attributed counters.
@@ -24,6 +24,9 @@ pub struct PhaseTiming {
     /// Time spent restricting the previous conflict graph, ns (0 in
     /// phase 0, whose graph is built under the reduction root).
     pub restrict_ns: u64,
+    /// Time spent splitting the phase's conflict graph into components,
+    /// ns (0 unless the phase ran component-parallel).
+    pub partition_ns: u64,
     /// Time spent inside oracle calls, ns, summed over attempts and,
     /// on the component path, over components — there it is CPU time
     /// across workers and can exceed the phase's wall time.
@@ -39,16 +42,20 @@ pub struct PhaseTiming {
 
 /// A whole reduction's cost split, aggregated from its span tree.
 ///
-/// `build_ns` covers the initial conflict-graph construction plus all
-/// phase-incremental restrictions; `total_ns` is the root reduction
-/// span, so `total_ns ≥ build_ns + oracle_ns + commit_ns` (the
-/// remainder is driver bookkeeping).
+/// `build_ns` covers the initial conflict-graph construction, all
+/// phase-incremental restrictions, and the per-component builds of
+/// component-parallel phases; `total_ns` is the root reduction span.
+/// On the serial path `total_ns ≥ build_ns + partition_ns + oracle_ns +
+/// commit_ns` (the remainder is driver bookkeeping); on the component
+/// path the per-component terms are CPU time summed over workers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseTimeline {
     /// Wall time of the whole reduction, ns.
     pub total_ns: u64,
     /// Conflict-graph construction + restriction time, ns.
     pub build_ns: u64,
+    /// Total component-partition time, ns.
+    pub partition_ns: u64,
     /// Total oracle time, ns.
     pub oracle_ns: u64,
     /// Total commit time, ns.
@@ -70,6 +77,7 @@ impl PhaseTimeline {
         let mut timeline = PhaseTimeline {
             total_ns: root.duration_ns(),
             build_ns: subtree_ns(root.id, names::CONFLICT_GRAPH),
+            partition_ns: 0,
             oracle_ns: 0,
             commit_ns: 0,
             phases: Vec::new(),
@@ -79,26 +87,34 @@ impl PhaseTimeline {
         phases.sort_by_key(|s| s.index);
         for phase in phases {
             // Oracle spans sit under the phase on the serial path and
-            // under its `component` spans on the component path.
-            let oracle_spans = || {
+            // under its `component` spans on the component path, where
+            // each component's conflict-graph build sits too.
+            let component_children = || {
                 children(phase.id)
-                    .chain(
-                        children(phase.id)
-                            .filter(|s| s.name == names::COMPONENT)
-                            .flat_map(|c| children(c.id)),
-                    )
-                    .filter(|s| s.name == names::ORACLE)
+                    .filter(|s| s.name == names::COMPONENT)
+                    .flat_map(|c| children(c.id))
+            };
+            let oracle_spans = || {
+                children(phase.id).chain(component_children()).filter(|s| s.name == names::ORACLE)
             };
             let timing = PhaseTiming {
                 phase: phase.index.unwrap_or(0),
                 total_ns: phase.duration_ns(),
                 restrict_ns: subtree_ns(phase.id, names::RESTRICT),
+                partition_ns: subtree_ns(phase.id, names::PARTITION),
                 oracle_ns: oracle_spans().map(|s| s.duration_ns()).sum(),
                 commit_ns: subtree_ns(phase.id, names::COMMIT),
                 oracle_attempts: oracle_spans().count(),
                 edges_removed: phase.counter(Counter::EdgesRemoved),
             };
-            timeline.build_ns += timing.restrict_ns;
+            // Component builds are CPU time summed over workers, like
+            // `oracle_ns` on the component path.
+            let component_build_ns: u64 = component_children()
+                .filter(|s| s.name == names::CONFLICT_GRAPH)
+                .map(|s| s.duration_ns())
+                .sum();
+            timeline.build_ns += timing.restrict_ns + component_build_ns;
+            timeline.partition_ns += timing.partition_ns;
             timeline.oracle_ns += timing.oracle_ns;
             timeline.commit_ns += timing.commit_ns;
             timeline.phases.push(timing);
@@ -106,21 +122,23 @@ impl PhaseTimeline {
         Some(timeline)
     }
 
-    /// Renders the per-phase table `trace-report` prints.
+    /// Renders the per-phase table `trace-report` prints. The total
+    /// row's `restrict` column is the whole `build_ns`.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<7} {:>10} {:>10} {:>10} {:>10} {:>9} {:>7}",
-            "phase", "total", "restrict", "oracle", "commit", "attempts", "edges-"
+            "{:<7} {:>10} {:>10} {:>10} {:>10} {:>10} {:>9} {:>7}",
+            "phase", "total", "restrict", "partition", "oracle", "commit", "attempts", "edges-"
         );
         for p in &self.phases {
             let _ = writeln!(
                 out,
-                "{:<7} {:>10} {:>10} {:>10} {:>10} {:>9} {:>7}",
+                "{:<7} {:>10} {:>10} {:>10} {:>10} {:>10} {:>9} {:>7}",
                 p.phase,
                 fmt_ns(p.total_ns),
                 fmt_ns(p.restrict_ns),
+                fmt_ns(p.partition_ns),
                 fmt_ns(p.oracle_ns),
                 fmt_ns(p.commit_ns),
                 p.oracle_attempts,
@@ -129,10 +147,11 @@ impl PhaseTimeline {
         }
         let _ = writeln!(
             out,
-            "{:<7} {:>10} {:>10} {:>10} {:>10}",
+            "{:<7} {:>10} {:>10} {:>10} {:>10} {:>10}",
             "total",
             fmt_ns(self.total_ns),
             fmt_ns(self.build_ns),
+            fmt_ns(self.partition_ns),
             fmt_ns(self.oracle_ns),
             fmt_ns(self.commit_ns),
         );
@@ -292,6 +311,7 @@ mod tests {
         assert_eq!(tl.phases[0].edges_removed, 9);
         assert_eq!(tl.phases[1].restrict_ns, 50);
         assert_eq!(tl.phases[1].oracle_attempts, 1);
+        assert_eq!(tl.partition_ns, 0, "serial phases never partition");
         let table = tl.render();
         assert!(table.contains("phase"));
         assert!(table.contains("total"));
@@ -320,6 +340,42 @@ mod tests {
         assert_eq!(tl.phases[0].oracle_ns, 230 + 100 + 50);
         assert_eq!(tl.phases[0].oracle_attempts, 3);
         assert_eq!(tl.oracle_ns, 230 + 100 + 50);
+    }
+
+    #[test]
+    fn timeline_attributes_partition_and_component_builds() {
+        // reduction 1 → {conflict-graph 2,
+        //                phase 3 → {partition 4,
+        //                           component 5 → {conflict-graph 6, oracle 7},
+        //                           component 8 → {conflict-graph 9, oracle 10},
+        //                           commit 11}}
+        let sink = MemorySink::new();
+        let spans: [(u64, Option<u64>, &'static str, u64, u64); 11] = [
+            (1, None, names::REDUCTION, 0, 2000),
+            (2, Some(1), names::CONFLICT_GRAPH, 0, 400),
+            (3, Some(1), names::PHASE, 400, 1900),
+            (4, Some(3), names::PARTITION, 400, 430),
+            (5, Some(3), names::COMPONENT, 430, 900),
+            (6, Some(5), names::CONFLICT_GRAPH, 430, 600),
+            (7, Some(5), names::ORACLE, 600, 880),
+            (8, Some(3), names::COMPONENT, 430, 800),
+            (9, Some(8), names::CONFLICT_GRAPH, 430, 550),
+            (10, Some(8), names::ORACLE, 550, 790),
+            (11, Some(3), names::COMMIT, 900, 1000),
+        ];
+        for (id, parent, name, start_ns, end_ns) in spans {
+            let (id, parent) = (SpanId(id), parent.map(SpanId));
+            sink.record(Event::SpanStart { id, parent, name, index: None, start_ns });
+            sink.record(Event::SpanEnd { id, end_ns });
+        }
+        let tl = PhaseTimeline::from_spans(&sink.spans()).expect("reduction root present");
+        assert_eq!(tl.phases[0].partition_ns, 30);
+        assert_eq!(tl.partition_ns, 30);
+        assert_eq!(tl.build_ns, 400 + 170 + 120, "component builds fold into build_ns");
+        assert_eq!(tl.oracle_ns, 280 + 240);
+        assert_eq!(tl.phases[0].oracle_attempts, 2);
+        assert_eq!(tl.commit_ns, 100);
+        assert!(tl.render().contains("partition"));
     }
 
     #[test]

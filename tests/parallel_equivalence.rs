@@ -6,6 +6,12 @@
 //! drivers produce byte-identical outcomes to their serial runs —
 //! same `PhaseRecord`s, same coloring, same color budget.
 //!
+//! The drivers find a phase's components on the hypergraph
+//! ([`HyperedgePartition`]) and build each component's `G_k` on its
+//! own kernel; a property pins that partition to the conflict graph's
+//! own components, and a fixed instance pins the route where the whole
+//! graph is CSR but every component is bitset.
+//!
 //! Two regression guards ride along: graphs that do not decompose
 //! (single-component or empty conflict graphs) must take the serial
 //! fast path even when threads are requested — verified through
@@ -15,16 +21,19 @@
 use proptest::prelude::*;
 use pslocal::cfcolor::checker;
 use pslocal::core::{
-    reduce_cf_resilient, reduce_cf_to_maxis, reduce_cf_to_maxis_traced, ReductionConfig,
+    reduce_cf_resilient, reduce_cf_to_maxis, reduce_cf_to_maxis_traced, ComponentPartition,
+    ConflictGraph, ConflictGraphOptions, FaultEvent, HyperedgePartition, ReductionConfig,
     ResilientConfig,
 };
 use pslocal::graph::generators::hyper::{
     multi_component_cf_instance, PlantedCfInstance, PlantedCfParams,
 };
-use pslocal::graph::{HypergraphBuilder, NodeId};
-use pslocal::maxis::{GreedyOracle, MaxIsOracle};
+use pslocal::graph::{HyperedgeId, Hypergraph, HypergraphBuilder, NodeId};
+use pslocal::maxis::{
+    CliqueRemovalOracle, FaultKind, FaultPlan, FaultyOracle, GreedyOracle, LubyOracle, MaxIsOracle,
+};
 use pslocal::telemetry::{names, Counter, MemorySink, Telemetry};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// The thread counts the acceptance criterion sweeps.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -175,4 +184,183 @@ fn resilient_single_component_takes_the_serial_fast_path() {
     assert!(out.fault_log.is_empty());
     assert!(checker::is_conflict_free(&h, &out.reduction.coloring));
     assert_serial_fast_path(sink.sink());
+}
+
+/// A small random hypergraph from `seed` in one of three shapes:
+/// arbitrary edges of size 1–4 over few vertices (one-vertex and
+/// repeated hyperedges, isolated vertices); disjoint random blocks
+/// joined only through one shared vertex each (the `E_vertex` bridge
+/// for `k ≥ 2`, the `E_color` bridge for `k = 1`), plus one-vertex
+/// hyperedges on the shared vertices; and disjoint planted copies.
+fn small_hypergraph(seed: u64, shape: u8) -> Hypergraph {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let random_edge = |rng: &mut rand::rngs::StdRng, lo: usize, hi: usize| {
+        let size = rng.gen_range(1..=4usize.min(hi - lo));
+        let mut edge: Vec<usize> = (0..size).map(|_| rng.gen_range(lo..hi)).collect();
+        edge.sort_unstable();
+        edge.dedup();
+        edge
+    };
+    match shape {
+        0 => {
+            let n = rng.gen_range(1..14usize);
+            let m = rng.gen_range(0..12usize);
+            let edges: Vec<Vec<usize>> = (0..m).map(|_| random_edge(&mut rng, 0, n)).collect();
+            Hypergraph::from_edges(n, edges).expect("valid edges")
+        }
+        1 => {
+            // Blocks of 5 vertices; block b > 0 reuses one vertex of
+            // block b − 1 in place of its own first vertex.
+            let blocks = rng.gen_range(2..5usize);
+            let mut edges: Vec<Vec<usize>> = Vec::new();
+            let mut shared = Vec::new();
+            for b in 0..blocks {
+                let bridge = (b > 0).then(|| rng.gen_range(5 * (b - 1)..5 * b));
+                for _ in 0..rng.gen_range(1..4usize) {
+                    let mut edge = random_edge(&mut rng, 5 * b, 5 * b + 5);
+                    if let Some(w) = bridge {
+                        for v in edge.iter_mut().filter(|v| **v == 5 * b) {
+                            *v = w;
+                        }
+                        edge.sort_unstable();
+                    }
+                    edges.push(edge);
+                }
+                // Make sure the bridge is actually used by this block.
+                if let Some(w) = bridge {
+                    edges.push(vec![w, 5 * b + 1]);
+                    shared.push(w);
+                }
+            }
+            for w in shared {
+                edges.push(vec![w]);
+            }
+            Hypergraph::from_edges(5 * blocks, edges).expect("valid edges")
+        }
+        _ => {
+            let k = rng.gen_range(2..4usize);
+            let copies = rng.gen_range(2..5usize);
+            let params = PlantedCfParams::new(8 * k, rng.gen_range(2..6usize), k);
+            multi_component_cf_instance(&mut rng, params, copies).hypergraph
+        }
+    }
+}
+
+/// The hypergraph partition of `cg` is the BFS partition of its CSR:
+/// same component ids, same sorted member lists, every hyperedge's
+/// block inside its component, every hyperedge in exactly one.
+fn assert_partition_matches(cg: &ConflictGraph) {
+    let split = HyperedgePartition::of(cg);
+    let reference = ComponentPartition::of(cg.graph());
+    assert_eq!(split.len(), reference.len(), "component count");
+    assert_eq!(split.largest_size(), reference.largest_size());
+    let mut seen: Vec<HyperedgeId> = Vec::new();
+    for c in 0..split.len() {
+        assert_eq!(split.members(cg, c), reference.members(c), "members of component {c}");
+        assert_eq!(split.node_count(c), reference.members(c).len());
+        for &e in split.edges(c) {
+            assert_eq!(reference.component_of(cg.block_start(e)), c, "block of {e:?}");
+        }
+        seen.extend_from_slice(split.edges(c));
+    }
+    seen.sort_unstable();
+    assert_eq!(seen, cg.hypergraph().edge_ids().collect::<Vec<_>>());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Union-find over the hypergraph finds exactly the connected
+    /// components of `G_k`, for k = 1..3, both `E_color` readings, and
+    /// restricted later-phase residuals.
+    #[test]
+    fn hyperedge_partition_matches_the_conflict_graph_components(
+        (seed, shape, k, literal, keep_seed) in (0u64..1 << 40, 0u8..3, 1usize..4, 0u8..2, 0u64..1 << 40)
+    ) {
+        let h = small_hypergraph(seed, shape);
+        let options = ConflictGraphOptions { literal_ecolor: literal == 1, ..Default::default() };
+        let cg = ConflictGraph::build_with_options(&h, k, options);
+        assert_partition_matches(&cg);
+        // A residual: a random subset of the hyperedges survives.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(keep_seed);
+        let keep: Vec<HyperedgeId> = h.edge_ids().filter(|_| rng.gen_bool(0.6)).collect();
+        assert_partition_matches(&cg.restrict_to_edges(&keep));
+    }
+}
+
+/// The benchmark's shape, scaled down: the whole `G_k` resolves to the
+/// CSR route while every component's own `G_k` resolves to bitset, so
+/// the component path runs the dense kernels the serial path does not.
+/// Every driver, oracle and thread count must reproduce `threads = 1`.
+#[test]
+fn csr_whole_graph_with_bitset_components_is_thread_count_invariant() {
+    let k = 4;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let h = multi_component_cf_instance(&mut rng, PlantedCfParams::new(32, 16, k), 11).hypergraph;
+    let cg = ConflictGraph::build(&h, k);
+    assert!(cg.bitset().is_none(), "whole graph must take the CSR route");
+    let split = HyperedgePartition::of(&cg);
+    assert_eq!(split.len(), 11);
+    for c in 0..split.len() {
+        let (h_c, _) = h.restrict_edges(split.edges(c));
+        assert!(
+            ConflictGraph::build(&h_c, k).bitset().is_some(),
+            "component {c} must take the bitset route"
+        );
+    }
+
+    let luby = LubyOracle::new(5);
+    let oracles: [&dyn MaxIsOracle; 3] = [&GreedyOracle, &luby, &CliqueRemovalOracle];
+    for oracle in oracles {
+        let name = oracle.name();
+        let serial = reduce_cf_to_maxis(&h, oracle, ReductionConfig::new(k))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let resilient_serial = reduce_cf_resilient(&h, &[oracle], ResilientConfig::new(k))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(resilient_serial.reduction.records, serial.records, "{name}");
+        assert_eq!(resilient_serial.reduction.coloring, serial.coloring, "{name}");
+        for threads in [2, 4] {
+            let par = reduce_cf_to_maxis(&h, oracle, ReductionConfig::new(k).with_threads(threads))
+                .unwrap_or_else(|e| panic!("{name} at {threads} threads: {e}"));
+            assert_eq!(par.records, serial.records, "{name} records at {threads} threads");
+            assert_eq!(par.coloring, serial.coloring, "{name} coloring at {threads} threads");
+            let mut config = ResilientConfig::new(k);
+            config.base = config.base.with_threads(threads);
+            let res = reduce_cf_resilient(&h, &[oracle], config)
+                .unwrap_or_else(|e| panic!("{name} resilient at {threads} threads: {e}"));
+            assert_eq!(res.reduction.records, serial.records, "{name} resilient records");
+            assert_eq!(res.reduction.coloring, serial.coloring, "{name} resilient coloring");
+            assert!(res.fault_log.is_empty(), "{name}: clean run logs no faults");
+        }
+    }
+
+    // A primary whose every call returns an invalid set: each site burns
+    // its retries, falls back to greedy, and commits greedy's answer.
+    // The plan is the same for every call, so the log is schedule-free.
+    let run_invalid = |threads: usize| {
+        let invalid = FaultyOracle::new(
+            GreedyOracle,
+            FaultPlan::scripted(vec![Some(FaultKind::InvalidSet); 1 << 12]),
+        );
+        let mut config = ResilientConfig::new(k);
+        config.base = config.base.with_threads(threads);
+        reduce_cf_resilient(&h, &[&invalid, &GreedyOracle], config).expect("fallback rescues")
+    };
+    let serial = run_invalid(1);
+    assert_eq!(serial.reduction.phases_used, 1, "one phase, so one partition to expect");
+    assert_eq!(serial.fallbacks_engaged, 1);
+    // The parallel log is the serial site's log once per component, in
+    // component order.
+    let expected: Vec<FaultEvent> = (0..split.len())
+        .flat_map(|c| {
+            serial.fault_log.iter().map(move |e| FaultEvent { component: Some(c), ..e.clone() })
+        })
+        .collect();
+    for threads in [2, 4] {
+        let par = run_invalid(threads);
+        assert_eq!(par.reduction.records, serial.reduction.records, "{threads} threads");
+        assert_eq!(par.reduction.coloring, serial.reduction.coloring, "{threads} threads");
+        assert_eq!(par.fault_log, expected, "{threads} threads");
+        assert_eq!(par.fallbacks_engaged, split.len());
+    }
 }

@@ -6,7 +6,7 @@
 //! lines; and a mid-load drain must deliver a response for every
 //! admitted request before any socket closes.
 
-use pslocal::core::{Server, ServerConfig, ServiceConfig};
+use pslocal::core::{Server, ServerConfig, ServiceConfig, MAX_LINE_BYTES};
 use pslocal::telemetry::{AggregateSink, Telemetry};
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -112,6 +112,24 @@ fn degradation_paths_answer_with_their_typed_lines() {
     assert_eq!(garbled[0], "PONG");
     assert!(garbled[1].contains("\"outcome\":\"bad_request\""), "lines: {garbled:?}");
 
+    server.shutdown();
+}
+
+#[test]
+fn over_long_line_gets_bad_request_and_the_connection_keeps_serving() {
+    let server = Server::start("127.0.0.1:0", ServerConfig::default(), Telemetry::disabled())
+        .expect("starts");
+    // The over-long line arrives in many read chunks with no terminator
+    // in sight when the cap is crossed, so the reader has to discard the
+    // rest of it as it streams in.
+    let long = format!("{{\"id\":\"{}\"}}", "x".repeat(MAX_LINE_BYTES + 10));
+    let payload = format!("{long}\n{{\"id\":\"after\",\"n\":48,\"m\":20,\"k\":3,\"seed\":15}}\n");
+    let out = roundtrip(server.local_addr(), &payload);
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 2, "one answer per line: {out}");
+    assert!(lines[0].contains("\"outcome\":\"bad_request\""), "first: {}", lines[0]);
+    assert!(lines[0].contains("longer than"), "first: {}", lines[0]);
+    assert!(lines[1].starts_with("{\"id\":\"after\",\"outcome\":\"ok\""), "second: {}", lines[1]);
     server.shutdown();
 }
 
