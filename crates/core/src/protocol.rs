@@ -29,6 +29,9 @@
 //! | `deadline_ms` | number | per-request deadline from submission             |
 //! | `faults`      | string | per-call fault script for the primary oracle     |
 //!
+//! `n`, `k` and `epsilon` must pass [`PlantedCfParams::check`]; a line
+//! whose planted parameters are infeasible is malformed.
+//!
 //! # Response schema
 //!
 //! One JSON object per request, in completion order. Only
@@ -255,9 +258,11 @@ pub fn kernel_by_name(name: &str) -> Result<KernelStrategy, String> {
 ///
 /// # Errors
 ///
-/// A human-readable description of the first malformed field. The
-/// caller decides whether that aborts the batch (`pslocal batch`) or
-/// becomes a `bad_request` response line (the server).
+/// A human-readable description of the first malformed field, or of
+/// why the planted parameters are infeasible
+/// ([`PlantedCfParams::check`]). The caller decides whether that
+/// aborts the batch (`pslocal batch`) or becomes a `bad_request`
+/// response line (the server).
 pub fn parse_request(
     line: &str,
     default_deadline: Option<Duration>,
@@ -269,8 +274,10 @@ pub fn parse_request(
     let k: usize = fields.num("k")?.unwrap_or(4);
     let seed: u64 = fields.num("seed")?.unwrap_or(0xC0FFEE);
     let epsilon: f64 = fields.num("epsilon")?.unwrap_or(0.5);
+    let params = PlantedCfParams { n, m, k, epsilon };
+    params.check()?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let inst = planted_cf_instance(&mut rng, PlantedCfParams { n, m, k, epsilon });
+    let inst = planted_cf_instance(&mut rng, params);
 
     let mut chain: Vec<BoxedOracle> = fields
         .str("oracle")?

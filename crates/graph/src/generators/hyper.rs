@@ -56,6 +56,35 @@ impl PlantedCfParams {
     pub fn max_edge_size(&self) -> usize {
         (((1.0 + self.epsilon) * self.k as f64).floor() as usize).clamp(self.k, self.n)
     }
+
+    /// Checks that [`planted_cf_instance`] can generate these
+    /// parameters: `k` must be at least 1, `n` at least `k`, and there
+    /// must be enough off-color vertices for the largest edge, i.e.
+    /// `max_edge_size - 1 ≤ n - ⌈n/k⌉`, which for `k ≥ 2` holds
+    /// whenever `n ≥ 4k`.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable description of the violated condition.
+    pub fn check(&self) -> Result<(), String> {
+        let PlantedCfParams { n, k, .. } = *self;
+        if k == 0 {
+            return Err("palette size k must be positive".to_string());
+        }
+        if n < k {
+            return Err(format!("need at least k = {k} vertices, got {n}"));
+        }
+        let max_size = self.max_edge_size();
+        let off_color = n - n.div_ceil(k);
+        if max_size - 1 > off_color {
+            return Err(format!(
+                "infeasible planted instance: edges of size up to {max_size} need {} off-color \
+                 vertices but only {off_color} exist (n = {n}, k = {k})",
+                max_size - 1,
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Generates an almost-uniform hypergraph together with a planted
@@ -70,26 +99,19 @@ impl PlantedCfParams {
 ///
 /// # Panics
 ///
-/// Panics if the parameters are infeasible: `k` must be at least 1, and
-/// there must be enough off-color vertices, i.e.
-/// `max_edge_size - 1 ≤ n - ⌈n/k⌉`, which for `k ≥ 2` holds whenever
-/// `n ≥ 4k` (a debug-friendly message reports the violated condition).
+/// Panics if the parameters are infeasible (see
+/// [`PlantedCfParams::check`], which callers with untrusted parameters
+/// run first to get the reason as an error instead).
 pub fn planted_cf_instance<R: Rng + ?Sized>(
     rng: &mut R,
     params: PlantedCfParams,
 ) -> PlantedCfInstance {
+    if let Err(reason) = params.check() {
+        // pslocal: allow(panic-path, "documented # Panics contract; untrusted parameters go through PlantedCfParams::check first")
+        panic!("{reason}");
+    }
     let PlantedCfParams { n, m, k, epsilon } = params;
-    assert!(k >= 1, "palette size k must be positive");
-    assert!(n >= k, "need at least k = {k} vertices, got {n}");
     let max_size = params.max_edge_size();
-    let largest_class = n.div_ceil(k);
-    assert!(
-        max_size - 1 <= n - largest_class,
-        "infeasible planted instance: edges of size up to {max_size} need {} off-color \
-         vertices but only {} exist (n = {n}, k = {k})",
-        max_size - 1,
-        n - largest_class,
-    );
 
     // Balanced color assignment over a random permutation.
     let palette = Palette::base(k);
@@ -301,6 +323,24 @@ mod tests {
         // k = 3 only 4 vertices lie outside the largest color class.
         let _ =
             planted_cf_instance(&mut rng(0), PlantedCfParams { n: 6, m: 1, k: 3, epsilon: 1.0 });
+    }
+
+    #[test]
+    fn check_accepts_exactly_the_feasible_parameters() {
+        // k = 4, ε = 0.5: edges reach size 6, so 5 off-color vertices
+        // are needed. n = 7 leaves 7 - ⌈7/4⌉ = 5; n = 6 leaves only 4.
+        assert_eq!(PlantedCfParams::new(7, 3, 4).check(), Ok(()));
+        let err = PlantedCfParams::new(6, 3, 4).check().unwrap_err();
+        assert!(err.contains("infeasible planted instance"), "{err}");
+        assert!(PlantedCfParams::new(0, 0, 4).check().is_err());
+        assert!(PlantedCfParams::new(64, 32, 0).check().is_err());
+        assert!(PlantedCfParams::new(3, 1, 4).check().is_err());
+        assert!(PlantedCfParams { epsilon: 1e9, ..PlantedCfParams::new(64, 32, 4) }
+            .check()
+            .is_err());
+        // Every accepted boundary point really generates.
+        let inst = planted_cf_instance(&mut rng(2), PlantedCfParams::new(7, 3, 4));
+        assert!(is_conflict_free_single_coloring(&inst.hypergraph, &inst.planted_coloring));
     }
 
     #[test]

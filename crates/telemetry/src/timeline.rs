@@ -5,8 +5,8 @@
 //! [`MemorySink`](crate::MemorySink) reconstructs:
 //!
 //! * [`PhaseTimeline`] aggregates a Theorem 1.1 reduction's span tree
-//!   into the build / partition / oracle / commit cost split per phase (the shape
-//!   the paper's ρ-phase analysis induces and `bench-report` tabulates);
+//!   into the build / partition / oracle / commit cost split per phase
+//!   (the shape the paper's ρ-phase analysis induces);
 //! * [`render_tree`] renders any span forest as an indented tree with
 //!   durations, proportional bars, and attributed counters.
 

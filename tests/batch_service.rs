@@ -319,3 +319,14 @@ fn cli_batch_rejects_malformed_lines_with_the_line_number() {
     assert!(!missing_id.status.success());
     assert!(String::from_utf8_lossy(&missing_id.stderr).contains("\"id\""));
 }
+
+#[test]
+fn cli_batch_rejects_infeasible_planted_parameters_without_panicking() {
+    let stdin =
+        "{\"id\":\"ok1\",\"n\":64}\n{\"id\":\"bad\",\"n\":3,\"k\":4}\n{\"id\":\"ok2\",\"n\":64}\n";
+    let out = run_cli(&["batch", "--workers", "1"], stdin);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "a parse error, not a panic (101): {stderr}");
+    assert!(stderr.contains("stdin line 2"), "stderr: {stderr}");
+    assert!(stderr.contains("need at least k = 4 vertices"), "stderr: {stderr}");
+}

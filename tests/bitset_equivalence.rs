@@ -9,6 +9,7 @@
 //! anyone downstream noticing.
 
 use proptest::prelude::*;
+use pslocal::cfcolor::checker::is_conflict_free;
 use pslocal::core::{
     reduce_cf_to_maxis, reduce_cf_to_maxis_with_workspace, BuildStrategy, ConflictGraph,
     ConflictGraphOptions, PhaseWorkspace, ReductionConfig,
@@ -162,7 +163,8 @@ fn auto_crossover_boundaries() {
 
 /// The dense bench configuration (`n128/m64/k8`, the planted instance
 /// the perf work targets) actually crosses the `Auto` threshold — the
-/// 2× speedup claim rides on this graph taking the bitset route.
+/// 2× speedup claim rides on this graph taking the bitset route — and
+/// the full reduction on it is identical under all three kernels.
 #[test]
 fn bench_instance_takes_the_dense_route() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -173,4 +175,17 @@ fn bench_instance_takes_the_dense_route() {
         kernel_options(false, KernelStrategy::Auto),
     );
     assert!(cg.bitset().is_some(), "dense bench instance must resolve to the bitset kernel");
+
+    let run = |kernel| {
+        let mut config = ReductionConfig::new(8);
+        config.kernel = kernel;
+        reduce_cf_to_maxis(&inst.hypergraph, &GreedyOracle, config).expect("reduction completes")
+    };
+    let csr = run(KernelStrategy::Csr);
+    assert!(is_conflict_free(&inst.hypergraph, &csr.coloring));
+    for kernel in [KernelStrategy::Bitset, KernelStrategy::Auto] {
+        let out = run(kernel);
+        assert_eq!(out.records, csr.records, "{kernel:?}");
+        assert_eq!(out.coloring, csr.coloring, "{kernel:?}");
+    }
 }

@@ -35,7 +35,7 @@ use pslocal::maxis::{
 use pslocal::telemetry::{names, Counter, MemorySink, Telemetry};
 use rand::{Rng, SeedableRng};
 
-/// The thread counts the acceptance criterion sweeps.
+/// The thread counts every equivalence property sweeps.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Vertex-disjoint planted copies, so `G_k` has ≥ `copies` components.

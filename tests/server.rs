@@ -134,6 +134,46 @@ fn over_long_line_gets_bad_request_and_the_connection_keeps_serving() {
 }
 
 #[test]
+fn infeasible_planted_parameters_get_bad_request_and_the_connection_keeps_serving() {
+    let server = Server::start("127.0.0.1:0", ServerConfig::default(), Telemetry::disabled())
+        .expect("starts");
+    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
+    // Each infeasible line used to panic the generator inside the
+    // connection handler, losing every later answer on the connection.
+    let payload = [
+        r#"{"id":"ok-1","n":64}"#,
+        r#"{"id":"n-zero","n":0}"#,
+        r#"{"id":"k-zero","k":0}"#,
+        r#"{"id":"n-below-k","n":3,"k":4}"#,
+        r#"{"id":"huge-epsilon","n":64,"epsilon":1e9}"#,
+        r#"{"id":"ok-2","n":64}"#,
+        "",
+    ]
+    .join("\n");
+    conn.write_all(payload.as_bytes()).expect("send");
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    let mut lines = Vec::new();
+    for _ in 0..6 {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("one answer per request line");
+        lines.push(line.trim().to_string());
+    }
+    let count = |outcome: &str| {
+        lines.iter().filter(|l| l.contains(&format!("\"outcome\":\"{outcome}\""))).count()
+    };
+    assert_eq!(count("ok"), 2, "lines: {lines:?}");
+    assert_eq!(count("bad_request"), 4, "lines: {lines:?}");
+    assert!(lines.iter().any(|l| l.contains("infeasible planted instance")), "lines: {lines:?}");
+
+    let report = server.shutdown();
+    assert!(report.drained.is_empty(), "every response was delivered to its connection");
+    let mut rest = String::new();
+    reader.read_to_string(&mut rest).expect("the drain closes the connection");
+    assert_eq!(rest, "", "no answer after the six");
+}
+
+#[test]
 fn connection_cap_sheds_with_a_typed_overloaded_line() {
     let config = ServerConfig::default().with_max_connections(1);
     let stats = AggregateSink::default();
