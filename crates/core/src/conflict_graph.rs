@@ -194,7 +194,8 @@ impl ConflictGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0`.
+    /// Panics if `k == 0`, or if `G_k` would have more than
+    /// `u32::MAX` triples (`k·Σ|e|`).
     pub fn build(h: &Hypergraph, k: usize) -> Self {
         Self::build_with_options(h, k, ConflictGraphOptions::default())
     }
@@ -203,7 +204,8 @@ impl ConflictGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0`.
+    /// Panics if `k == 0`, or if `G_k` would have more than
+    /// `u32::MAX` triples (`k·Σ|e|`).
     pub fn build_with_options(h: &Hypergraph, k: usize, options: ConflictGraphOptions) -> Self {
         Self::build_traced(h, k, options, &Telemetry::disabled())
     }
@@ -217,7 +219,8 @@ impl ConflictGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0`.
+    /// Panics if `k == 0`, or if `G_k` would have more than
+    /// `u32::MAX` triples (`k·Σ|e|`).
     pub fn build_traced<S: Sink>(
         h: &Hypergraph,
         k: usize,
@@ -227,18 +230,16 @@ impl ConflictGraph {
         assert!(k >= 1, "palette size k must be positive");
         let span = parent.span(names::CONFLICT_GRAPH);
         let m = h.edge_count();
-        let mut base = vec![0u32; m + 1];
-        for e in 0..m {
-            base[e + 1] = base[e] + (h.edge_size(HyperedgeId::new(e)) * k) as u32;
-        }
+        let base = block_offsets(h, k);
         let node_count = base[m] as usize;
         // The kernel resolution reuses the parallel threshold's cheap
         // edge estimate — the exact count exists only after the build.
         // Explicit CSR build strategies pin the CSR pipeline (they are
         // the equivalence/ablation knobs); the kernel choice applies
         // under the default Auto build strategy.
+        let estimated_edges = kernel::estimated_edges(h, k);
         let dense = matches!(options.strategy, BuildStrategy::Auto)
-            && options.kernel.use_bitset(node_count, kernel::estimated_edges(h, k));
+            && options.kernel.use_bitset(node_count, estimated_edges);
         if dense {
             let bits = kernel::build_bitset(h, k, options, &base, &span);
             let edge_count = bits.edge_count();
@@ -261,7 +262,7 @@ impl ConflictGraph {
                 kernel::build_fast(h, k, options, &base, kernel::worker_count().max(2), &span)
             }
             BuildStrategy::Auto => {
-                let workers = if kernel::estimated_edges(h, k) >= kernel::PARALLEL_THRESHOLD {
+                let workers = if estimated_edges >= kernel::PARALLEL_THRESHOLD {
                     kernel::worker_count()
                 } else {
                     1
@@ -539,6 +540,34 @@ impl ConflictGraph {
     pub fn expected_node_count(h: &Hypergraph, k: usize) -> usize {
         k * h.incidence_size()
     }
+}
+
+/// The block offsets of `G_k`: `base[e]` is the first triple of
+/// hyperedge `e`, `base[m]` the triple count.
+///
+/// # Panics
+///
+/// Panics if the triple count `k·Σ|e|` exceeds `u32::MAX`, the limit
+/// of the `u32` offsets and node ids, instead of wrapping.
+fn block_offsets(h: &Hypergraph, k: usize) -> Vec<u32> {
+    let m = h.edge_count();
+    let mut base = vec![0u32; m + 1];
+    for e in 0..m {
+        let next = h
+            .edge_size(HyperedgeId::new(e))
+            .checked_mul(k)
+            .and_then(|block| u32::try_from(block).ok())
+            .and_then(|block| base[e].checked_add(block));
+        let Some(next) = next else {
+            // pslocal: allow(panic-path, "documented # Panics contract of the build entry points; PlantedCfParams::check keeps planted requests below the limit")
+            panic!(
+                "G_k has more than {} triples (k·Σ|e| with k = {k}): node ids are u32",
+                u32::MAX
+            );
+        };
+        base[e + 1] = next;
+    }
+    base
 }
 
 /// The CSR byte footprint of a graph: `u32` offsets (one per node plus
@@ -957,9 +986,17 @@ mod kernel {
     /// kernels emit (checked by the bitset equivalence suite, and in
     /// debug builds by `from_raw_parts`'s popcount re-check).
     ///
-    /// Serial by design: the dense route only fires for graphs of at
-    /// most [`pslocal_graph::bitset::BITSET_MAX_NODES`] nodes, where
-    /// one pass beats thread spawn-and-join.
+    /// Each slot's row length is closed-form from its template (see
+    /// the length comment in the loop), so no second merge counts it.
+    ///
+    /// Serial. Measured on a 2-CPU Xeon host over the phase-0 builds of
+    /// three planted `(n, 8n, 4)` instances, `n ∈ {96, 128, 160}`
+    /// (15–26k nodes, 29–82 MB of rows): splitting the rows into two
+    /// block-range shards on two threads took the builds from 256 ms to
+    /// 173 ms, 1.48×, not 2×. Page-faulting the fresh row buffer alone
+    /// measures 15–49 ms per build there, and the result matches that
+    /// part staying serial. Sharding would also compete for the CPUs
+    /// the component executor and the service pool already use.
     pub(super) fn build_bitset<S: Sink>(
         h: &Hypergraph,
         k: usize,
@@ -987,10 +1024,23 @@ mod kernel {
             build_wedges(h, &idx, e, &mut wedges);
             let members = h.edge(HyperedgeId::new(e));
             for (pv, &v) in members.iter().enumerate() {
-                let vslots = idx.slots(v.index());
-                // All k rows of a (e, v) slot share one length.
-                let len = row_len(e, k, options.literal_ecolor, base, vslots.0, &wedges) as u32;
-                fill_slot_template(e, kw, base, vslots, &wedges, &mut template, &mut self_slots);
+                fill_slot_template(
+                    e,
+                    kw,
+                    base,
+                    idx.slots(v.index()),
+                    &wedges,
+                    &mut template,
+                    &mut self_slots,
+                );
+                // All k rows of a (e, v) slot share one length: the
+                // template's sweep and wedge bits, the block clique
+                // minus the row itself, and each own slot in another
+                // block minus (or, literally, plus) the row's color.
+                let swept: u32 = template.iter().map(|w| w.count_ones()).sum();
+                let len = swept
+                    + (base[e + 1] - base[e] - 1)
+                    + (kw - 1 + options.literal_ecolor as u32) * self_slots.len() as u32;
                 for c in 0..kw {
                     let a = base[e] + pv as u32 * kw + c;
                     let row = &mut rows[a as usize * words..(a as usize + 1) * words];
@@ -1279,6 +1329,14 @@ mod tests {
     fn zero_k_panics() {
         let h = Hypergraph::from_edges(2, [vec![0, 1]]).unwrap();
         let _ = ConflictGraph::build(&h, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 4294967295 triples")]
+    fn triple_count_past_u32_panics_instead_of_wrapping() {
+        // 2 · 2^31 = 2^32 triples: the u32 block offsets would wrap to 0.
+        let h = Hypergraph::from_edges(2, [vec![0, 1]]).unwrap();
+        let _ = ConflictGraph::build(&h, 1 << 31);
     }
 
     #[test]

@@ -29,8 +29,9 @@
 //! | `deadline_ms` | number | per-request deadline from submission             |
 //! | `faults`      | string | per-call fault script for the primary oracle     |
 //!
-//! `n`, `k` and `epsilon` must pass [`PlantedCfParams::check`]; a line
-//! whose planted parameters are infeasible is malformed.
+//! `n`, `m`, `k` and `epsilon` must pass [`PlantedCfParams::check`]
+//! (which also caps the sizes at the `u32` ids of `H` and `G_k`); a
+//! line whose planted parameters are infeasible is malformed.
 //!
 //! # Response schema
 //!

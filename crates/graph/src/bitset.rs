@@ -14,8 +14,9 @@
 //! * [`BitsetGraph::recount_degrees`] — degree recount via
 //!   `count_ones`,
 //! * [`BitsetGraph::min_degree_greedy`] — the minimum-degree greedy
-//!   with **batched bucket pushes**, byte-identical to the CSR greedy's
-//!   pick sequence (see the proof sketch at the function).
+//!   with **batched bucket pushes** and a branch-free kill sweep,
+//!   byte-identical to the CSR greedy's pick sequence (see the proof
+//!   sketch at the function).
 //!
 //! [`KernelStrategy`] is the knob callers thread through their options
 //! structs: `Auto` resolves to the bitset route exactly when the
@@ -43,8 +44,11 @@ pub enum KernelStrategy {
 }
 
 /// `Auto` resolves to the bitset route only below this node count —
-/// bit rows cost `n²/8` bytes, and past ~32k nodes (128 MiB) the
-/// quadratic footprint stops fitting anything cache-like.
+/// bit rows cost `n²/8` bytes, 128 MiB at the cap. The rows need not
+/// be cache-resident (phase-0 conflict graphs of `n = 96…160`,
+/// `m = 8n`, `k = 4` planted instances hold 29–82 MB of them): the
+/// dense kernels stream each row they read front to back, so the cap
+/// bounds memory, not a cache size.
 pub const BITSET_MAX_NODES: usize = 1 << 15;
 
 /// `Auto` requires at least this average (undirected) degree — below
@@ -65,7 +69,7 @@ impl KernelStrategy {
     /// `edges` undirected edges: `true` means take the bitset route.
     ///
     /// The heuristic behind `Auto`: bit rows win when the graph is
-    /// small enough for `n²/8` bytes of rows to stay cache-resident
+    /// small enough for the `n²/8` bytes of rows to stay bounded
     /// ([`BITSET_MAX_NODES`]) *and* dense enough that scanning a row's
     /// `⌈n/64⌉` words beats walking the CSR neighbor list — which
     /// needs both a floor on the average degree
@@ -350,7 +354,18 @@ impl BitsetGraph {
     /// survivor in the CSR kill-loop's final-push order — ascending
     /// dying neighbor, then ascending survivor. The equivalence suite
     /// (`tests/bitset_equivalence.rs`) checks the full pick sequence
-    /// against the CSR reference on random and planted instances.
+    /// against the CSR reference on random, word-boundary and planted
+    /// instances.
+    ///
+    /// The top-down pass visits every word of every dying row, and on
+    /// conflict graphs most of those words hold no alive neighbor while
+    /// the rest hold a few, so a per-word branch mispredicts often. The
+    /// word body is therefore straight-line code: `news` and `seen` are
+    /// written unconditionally, and the word is appended by predication
+    /// to the recorded list (if it gained news) and to a per-row hit
+    /// list (if it holds any alive bit). The decrements then run over
+    /// the hits alone, the first two of each word masked (only words
+    /// with three or more alive neighbors run a loop).
     ///
     /// Returns the chosen vertices in pick order.
     pub fn min_degree_greedy(&self, scratch: &mut BitsetScratch) -> Vec<NodeId> {
@@ -385,6 +400,12 @@ impl BitsetGraph {
         }
         s.seen.resize(words, 0);
         s.news.resize(words * (maxdeg + 1), 0);
+        // Each survivor gains news once per pick, so a pick records at
+        // most n - 1 words, plus the one predicated write past the end.
+        s.pairs.clear();
+        s.pairs.resize(n + 1, 0);
+        s.hits.clear();
+        s.hits.resize(words + 1, (0, 0));
         let mut cursor = 0usize;
         while cursor <= maxdeg {
             let Some(v) = s.buckets[cursor].pop() else {
@@ -402,35 +423,36 @@ impl BitsetGraph {
                 *w = 0;
             }
             // Top-down: mark each survivor in the news set of its
-            // largest dying neighbor and apply every decrement. Words
-            // with no alive neighbors are skipped outright; words that
+            // largest dying neighbor and apply every decrement. The
+            // word loop has no branch on a word's contents. Words that
             // gained news bits are recorded (per dying vertex) so the
-            // push pass below touches only them.
-            s.pairs.clear();
+            // push pass below touches only them: `pairs[len]` is always
+            // written, and `len` advances only past a word with news.
+            // Words with any alive bit go to `hits` the same way, and
+            // only those take decrements.
             s.ranges.clear();
             s.ranges.resize(s.dlist.len(), (0, 0));
+            let mut len = 0usize;
             for (idx, &u) in s.dlist.iter().enumerate().rev() {
                 let row_u = &self.rows[u as usize * words..(u as usize + 1) * words];
                 let dst = &mut s.news[idx * words..(idx + 1) * words];
-                let start = s.pairs.len() as u32;
-                for wi in 0..words {
-                    let rw = row_u[wi] & s.alive[wi];
-                    if rw == 0 {
-                        continue;
-                    }
-                    let nw = rw & !s.seen[wi];
-                    if nw != 0 {
-                        dst[wi] = nw;
-                        s.seen[wi] |= nw;
-                        s.pairs.push(wi as u32);
-                    }
-                    let mut m = rw;
-                    while m != 0 {
-                        s.degree[(wi * 64) + m.trailing_zeros() as usize] -= 1;
-                        m &= m - 1;
-                    }
+                let start = len as u32;
+                let mut hits = 0usize;
+                let cells = row_u.iter().zip(&s.alive).zip(s.seen.iter_mut()).zip(dst);
+                for (wi, (((&row, &alive), seen), news)) in cells.enumerate() {
+                    let rw = row & alive;
+                    let nw = rw & !*seen;
+                    *news = nw;
+                    *seen |= nw;
+                    s.pairs[len] = wi as u32;
+                    len += (nw != 0) as usize;
+                    s.hits[hits] = (wi as u32, rw);
+                    hits += (rw != 0) as usize;
                 }
-                s.ranges[idx] = (start, s.pairs.len() as u32);
+                for &(wi, rw) in &s.hits[..hits] {
+                    kill_word(&mut s.degree, wi as usize * 64, rw);
+                }
+                s.ranges[idx] = (start, len as u32);
             }
             // Bottom-up: the one final push per touched survivor, in
             // the CSR greedy's final-push order (ascending dying
@@ -454,6 +476,22 @@ impl BitsetGraph {
     }
 }
 
+/// Subtracts one from `degree[base + b]` for every set bit `b` of `m`.
+/// The first two bits take masked unconditional decrements (a spent
+/// mask subtracts 0 from `degree[base]`), so only words holding three
+/// or more bits reach the loop, whose trip count varies.
+#[inline]
+fn kill_word(degree: &mut [u32], base: usize, mut m: u64) {
+    for _ in 0..2 {
+        degree[base + (m.trailing_zeros() as usize & 63)] -= (m != 0) as u32;
+        m &= m.wrapping_sub(1);
+    }
+    while m != 0 {
+        degree[base + m.trailing_zeros() as usize] -= 1;
+        m &= m - 1;
+    }
+}
+
 /// Reusable buffers for [`BitsetGraph::min_degree_greedy`]. One
 /// instance serves any number of runs on graphs of any size — every
 /// buffer is (re)sized on entry, so holding the scratch across phases
@@ -468,10 +506,15 @@ pub struct BitsetScratch {
     dlist: Vec<u32>,
     /// Word indices with nonzero news bits, grouped per dying vertex —
     /// lets the bottom-up push pass visit only populated words instead
-    /// of rescanning every `dying × words` cell.
+    /// of rescanning every `dying × words` cell. Sized `n + 1` per run
+    /// so the predicated append never needs a capacity check.
     pairs: Vec<u32>,
     /// `ranges[idx]` = the `pairs` span recorded for dying vertex `idx`.
     ranges: Vec<(u32, u32)>,
+    /// `(word, alive bits)` of one dying row's words with an alive
+    /// neighbor, appended by predication like `pairs` (sized
+    /// `words + 1`); the decrements run over this list only.
+    hits: Vec<(u32, u64)>,
 }
 
 impl BitsetScratch {

@@ -63,13 +63,22 @@ impl PlantedCfParams {
     /// `max_edge_size - 1 ≤ n - ⌈n/k⌉`, which for `k ≥ 2` holds
     /// whenever `n ≥ 4k`.
     ///
+    /// The sizes must also fit the `u32` ids downstream: `n` and `m`
+    /// at most `u32::MAX` (vertex and hyperedge ids), and
+    /// `m · max_edge_size · k` at most `u32::MAX` (an upper bound on
+    /// the triple count of the conflict graph `G_k`).
+    ///
     /// # Errors
     ///
     /// A human-readable description of the violated condition.
     pub fn check(&self) -> Result<(), String> {
-        let PlantedCfParams { n, k, .. } = *self;
+        let PlantedCfParams { n, m, k, .. } = *self;
+        const LIMIT: usize = u32::MAX as usize;
         if k == 0 {
             return Err("palette size k must be positive".to_string());
+        }
+        if n > LIMIT || m > LIMIT {
+            return Err(format!("n = {n} and m = {m} must each be at most {LIMIT} (u32 ids)"));
         }
         if n < k {
             return Err(format!("need at least k = {k} vertices, got {n}"));
@@ -81,6 +90,13 @@ impl PlantedCfParams {
                 "infeasible planted instance: edges of size up to {max_size} need {} off-color \
                  vertices but only {off_color} exist (n = {n}, k = {k})",
                 max_size - 1,
+            ));
+        }
+        let triples = m.checked_mul(max_size).and_then(|incidences| incidences.checked_mul(k));
+        if triples.is_none_or(|t| t > LIMIT) {
+            return Err(format!(
+                "m · max edge size · k = {m} · {max_size} · {k} exceeds {LIMIT}, the triple \
+                 limit of the conflict graph's u32 node ids"
             ));
         }
         Ok(())
@@ -338,6 +354,18 @@ mod tests {
         assert!(PlantedCfParams { epsilon: 1e9, ..PlantedCfParams::new(64, 32, 4) }
             .check()
             .is_err());
+        // Sizes past the u32 ids of H and of G_k's triples.
+        let limit = u32::MAX as usize;
+        let err = PlantedCfParams::new(usize::MAX, 8, 4).check().unwrap_err();
+        assert!(err.contains("u32 ids"), "{err}");
+        assert!(PlantedCfParams::new(limit + 1, 8, 4).check().is_err());
+        assert!(PlantedCfParams::new(64, limit + 1, 4).check().is_err());
+        assert!(PlantedCfParams::new(64, usize::MAX, 4).check().is_err());
+        // k = 4, ε = 0.5: m · 6 · 4 triples; the boundary m fits, one more does not.
+        let m_max = limit / 24;
+        assert_eq!(PlantedCfParams::new(64, m_max, 4).check(), Ok(()));
+        let err = PlantedCfParams::new(64, m_max + 1, 4).check().unwrap_err();
+        assert!(err.contains("triple limit"), "{err}");
         // Every accepted boundary point really generates.
         let inst = planted_cf_instance(&mut rng(2), PlantedCfParams::new(7, 3, 4));
         assert!(is_conflict_free_single_coloring(&inst.hypergraph, &inst.planted_coloring));

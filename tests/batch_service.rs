@@ -329,4 +329,13 @@ fn cli_batch_rejects_infeasible_planted_parameters_without_panicking() {
     assert_eq!(out.status.code(), Some(1), "a parse error, not a panic (101): {stderr}");
     assert!(stderr.contains("stdin line 2"), "stderr: {stderr}");
     assert!(stderr.contains("need at least k = 4 vertices"), "stderr: {stderr}");
+
+    // A size past the u32 ids is rejected by the same check, not by a
+    // generator panic or an unbounded allocation.
+    let stdin = "{\"id\":\"ok1\",\"n\":64}\n{\"id\":\"huge\",\"n\":18446744073709551615}\n";
+    let out = run_cli(&["batch", "--workers", "1"], stdin);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "a parse error, not a panic (101): {stderr}");
+    assert!(stderr.contains("stdin line 2"), "stderr: {stderr}");
+    assert!(stderr.contains("u32 ids"), "stderr: {stderr}");
 }

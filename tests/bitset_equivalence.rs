@@ -15,11 +15,55 @@ use pslocal::core::{
     ConflictGraphOptions, PhaseWorkspace, ReductionConfig,
 };
 use pslocal::graph::bitset::{BITSET_MAX_NODES, BITSET_MIN_AVG_DEGREE};
+use pslocal::graph::generators::classic::{complete, complete_bipartite, star};
 use pslocal::graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
-use pslocal::graph::{BitsetGraph, BitsetScratch, Hypergraph, KernelStrategy};
+use pslocal::graph::{BitsetGraph, BitsetScratch, Graph, Hypergraph, KernelStrategy, NodeId};
 use pslocal::maxis::{GreedyOracle, MaxIsOracle};
 use pslocal::telemetry::Telemetry;
 use rand::{Rng, SeedableRng};
+
+/// The CSR degree-bucket greedy of `GreedyOracle`, returning its picks
+/// in pick order (the oracle itself returns them sorted): one bucket
+/// push per degree decrement, stale entries skipped at pop.
+fn csr_pick_sequence(g: &Graph) -> Vec<NodeId> {
+    let mut alive = vec![true; g.node_count()];
+    let mut degree: Vec<usize> = g.nodes().map(|v| g.degree(v)).collect();
+    let maxdeg = degree.iter().copied().max().unwrap_or(0);
+    let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); maxdeg + 1];
+    for v in g.nodes() {
+        buckets[degree[v.index()]].push(v);
+    }
+    let (mut picks, mut cursor) = (Vec::new(), 0usize);
+    while cursor <= maxdeg {
+        let Some(v) = buckets[cursor].pop() else {
+            cursor += 1;
+            continue;
+        };
+        if !alive[v.index()] || degree[v.index()] != cursor {
+            continue;
+        }
+        picks.push(v);
+        alive[v.index()] = false;
+        for &u in g.neighbors(v) {
+            if alive[u.index()] {
+                alive[u.index()] = false;
+                for &w in g.neighbors(u) {
+                    if alive[w.index()] {
+                        degree[w.index()] -= 1;
+                        buckets[degree[w.index()]].push(w);
+                        cursor = cursor.min(degree[w.index()]);
+                    }
+                }
+            }
+        }
+    }
+    picks
+}
+
+/// The dense greedy's pick sequence on `g`'s bit rows.
+fn dense_pick_sequence(bits: &BitsetGraph) -> Vec<NodeId> {
+    bits.min_degree_greedy(&mut BitsetScratch::new())
+}
 
 /// A random hypergraph: `m` edges of 1–4 distinct vertices over `n ≤ 40`
 /// vertices (sizes and members seeded, so failures replay exactly).
@@ -88,6 +132,7 @@ proptest! {
         let dense = GreedyOracle.independent_set_dense(&bits, &mut scratch);
         let csr = GreedyOracle.independent_set(&g);
         prop_assert_eq!(dense.vertices(), csr.vertices());
+        prop_assert_eq!(dense_pick_sequence(&bits), csr_pick_sequence(&g));
         prop_assert_eq!(
             GreedyOracle.lambda_for_dense(&bits),
             GreedyOracle.lambda_for(&g)
@@ -187,5 +232,75 @@ fn bench_instance_takes_the_dense_route() {
         let out = run(kernel);
         assert_eq!(out.records, csr.records, "{kernel:?}");
         assert_eq!(out.coloring, csr.coloring, "{kernel:?}");
+    }
+}
+
+/// Word-boundary shapes for the dense greedy's kill sweep: alive row
+/// words holding 0 bits (empty graphs, and every word past a star
+/// leaf's hub bit), 1, 2 and 3 bits (the small side of `K_{s,n-s}`,
+/// seen from the large side) and 64 bits (complete graphs, the large
+/// side of a bipartite graph) — at sizes just below, on and just past
+/// the 64-bit word boundaries.
+#[test]
+fn dense_greedy_matches_csr_pick_sequence_on_word_boundary_shapes() {
+    let mut graphs = vec![Graph::empty(0), Graph::empty(1)];
+    for n in [63, 64, 65, 128, 129] {
+        graphs.push(Graph::empty(n));
+        graphs.push(complete(n));
+        graphs.push(star(n));
+        for s in [1, 2, 3, n / 2] {
+            graphs.push(complete_bipartite(s, n - s));
+        }
+    }
+    for g in &graphs {
+        let csr = csr_pick_sequence(g);
+        assert_eq!(
+            dense_pick_sequence(&BitsetGraph::from_graph(g)),
+            csr,
+            "n = {}, m = {}",
+            g.node_count(),
+            g.edge_count()
+        );
+        assert!(!csr.is_empty() || g.node_count() == 0);
+    }
+}
+
+/// The dense and CSR greedy pick the same sequence on a conflict graph
+/// of the `reduce-dense` benchmark pool's size (n = 96, m = 768, k = 4),
+/// where most alive row words hold no bit and a few hold many.
+#[test]
+fn dense_greedy_matches_csr_pick_sequence_on_a_pool_sized_instance() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    let inst = planted_cf_instance(&mut rng, PlantedCfParams::new(96, 768, 4));
+    let cg = ConflictGraph::build(&inst.hypergraph, 4);
+    let bits = cg.bitset().expect("the pool-sized instance takes the dense route");
+    assert_eq!(dense_pick_sequence(bits), csr_pick_sequence(cg.graph()));
+}
+
+/// Every bit row of the direct dense build holds exactly its stored
+/// degree (and no self bit), in both `E_color` readings. The build
+/// derives each row's length in closed form, and `from_raw_parts`
+/// re-checks it only in debug builds; this test keeps the check under
+/// `--release`.
+#[test]
+fn dense_build_row_popcounts_equal_stored_degrees() {
+    for (seed, (n, m, k)) in
+        [(40, 20, 3), (96, 48, 4), (128, 64, 8), (64, 256, 2)].into_iter().enumerate()
+    {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed as u64);
+        let inst = planted_cf_instance(&mut rng, PlantedCfParams::new(n, m, k));
+        for literal in [false, true] {
+            let cg = ConflictGraph::build_with_options(
+                &inst.hypergraph,
+                k,
+                kernel_options(literal, KernelStrategy::Bitset),
+            );
+            let bits = cg.bitset().expect("forced bitset kernel builds bit rows");
+            for v in (0..bits.node_count()).map(NodeId::new) {
+                let ones: usize = bits.row(v).iter().map(|w| w.count_ones() as usize).sum();
+                assert_eq!(ones, bits.degree(v), "({n}, {m}, {k}) literal = {literal}, node {v:?}");
+                assert!(!bits.has_edge(v, v), "({n}, {m}, {k}) literal = {literal}, node {v:?}");
+            }
+        }
     }
 }

@@ -147,6 +147,7 @@ fn infeasible_planted_parameters_get_bad_request_and_the_connection_keeps_servin
         r#"{"id":"k-zero","k":0}"#,
         r#"{"id":"n-below-k","n":3,"k":4}"#,
         r#"{"id":"huge-epsilon","n":64,"epsilon":1e9}"#,
+        r#"{"id":"huge-n","n":18446744073709551615}"#,
         r#"{"id":"ok-2","n":64}"#,
         "",
     ]
@@ -154,7 +155,7 @@ fn infeasible_planted_parameters_get_bad_request_and_the_connection_keeps_servin
     conn.write_all(payload.as_bytes()).expect("send");
     let mut reader = BufReader::new(conn.try_clone().expect("clone"));
     let mut lines = Vec::new();
-    for _ in 0..6 {
+    for _ in 0..7 {
         let mut line = String::new();
         reader.read_line(&mut line).expect("one answer per request line");
         lines.push(line.trim().to_string());
@@ -163,14 +164,17 @@ fn infeasible_planted_parameters_get_bad_request_and_the_connection_keeps_servin
         lines.iter().filter(|l| l.contains(&format!("\"outcome\":\"{outcome}\""))).count()
     };
     assert_eq!(count("ok"), 2, "lines: {lines:?}");
-    assert_eq!(count("bad_request"), 4, "lines: {lines:?}");
+    assert_eq!(count("bad_request"), 5, "lines: {lines:?}");
     assert!(lines.iter().any(|l| l.contains("infeasible planted instance")), "lines: {lines:?}");
+    let huge: Vec<_> = lines.iter().filter(|l| l.contains("u32 ids")).collect();
+    assert_eq!(huge.len(), 1, "lines: {lines:?}");
+    assert!(huge[0].contains("\"outcome\":\"bad_request\""), "huge n: {}", huge[0]);
 
     let report = server.shutdown();
     assert!(report.drained.is_empty(), "every response was delivered to its connection");
     let mut rest = String::new();
     reader.read_to_string(&mut rest).expect("the drain closes the connection");
-    assert_eq!(rest, "", "no answer after the six");
+    assert_eq!(rest, "", "no answer after the seven");
 }
 
 #[test]
