@@ -52,7 +52,7 @@
 //! field, the resilient driver): the default of one thread keeps both
 //! drivers on their exact historical serial path.
 
-use crate::conflict_graph::ConflictGraph;
+use crate::conflict_graph::{kernel, ConflictGraph};
 use pslocal_graph::{csr, Graph, HyperedgeId, IndependentSet, NodeId};
 use pslocal_maxis::MaxIsOracle;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -383,12 +383,19 @@ where
             *slots[c].lock().expect("component result slot") = Some(out);
         }
     };
-    if threads.min(jobs) <= 1 {
+    let pool = threads.min(jobs);
+    if pool <= 1 {
         work();
     } else {
+        // Each worker gets its share of the caller's CPUs, so a kernel
+        // build inside a job does not nest a full-width shard per worker.
+        let share = kernel::pool_share(pool);
         std::thread::scope(|scope| {
-            for _ in 0..threads.min(jobs) {
-                scope.spawn(work);
+            for _ in 0..pool {
+                scope.spawn(|| {
+                    kernel::enter_pool(share);
+                    work()
+                });
             }
         });
     }
@@ -660,6 +667,32 @@ mod tests {
             split.merge(&cg, vec![IndependentSet::empty(), local(2)])
         }));
         assert!(out_of_range.is_err(), "component 1 has two local nodes");
+    }
+
+    #[test]
+    fn pool_workers_get_their_share_of_the_callers_cpus() {
+        let cpus = kernel::worker_count();
+        let share = (cpus / 2).max(1);
+        let shares = largest_first(&[1; 4], 2, || (), |_, _| kernel::cpu_share());
+        assert_eq!(shares, vec![share; 4]);
+        assert_eq!(kernel::cpu_share(), cpus, "the caller keeps its own share");
+        // A 1-thread pool runs on the calling thread and leaves its
+        // share as it was — the caller's, or a pool worker's.
+        assert_eq!(largest_first(&[1; 3], 1, || (), |_, _| kernel::cpu_share()), vec![cpus; 3]);
+        let nested = largest_first(
+            &[1; 2],
+            2,
+            || (),
+            |_, _| {
+                let serial = largest_first(&[1; 2], 1, || (), |_, _| kernel::cpu_share());
+                let pooled = largest_first(&[1; 2], 2, || (), |_, _| kernel::cpu_share());
+                (serial, pooled)
+            },
+        );
+        for (serial, pooled) in nested {
+            assert_eq!(serial, vec![share; 2]);
+            assert_eq!(pooled, vec![(share / 2).max(1); 2]);
+        }
     }
 
     #[test]

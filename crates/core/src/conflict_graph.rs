@@ -44,11 +44,15 @@
 //! with `W = Σ_v deg(v)²` the wedge count, and nothing is ever sorted,
 //! deduplicated, or post-processed. Above a work threshold — or on
 //! request via [`BuildStrategy::Parallel`] — contiguous block ranges
-//! are sharded across `std::thread::scope` workers whose outputs
-//! concatenate (row order equals node order, so concatenation *is* the
-//! merge). [`BuildStrategy::Reference`] keeps the predicate-driven
-//! all-pairs builder alive as the machine-checkable specification the
-//! equivalence property tests compare against.
+//! are sharded across `std::thread::scope` workers, as many as the
+//! calling thread's share of the CPUs (all of them outside a worker
+//! pool, an even split inside the component scheduler's or the
+//! service's pool). CSR shards concatenate (row order equals node
+//! order, so concatenation *is* the merge); dense bit-row shards fill
+//! disjoint row slices of one buffer. [`BuildStrategy::Reference`]
+//! keeps the predicate-driven all-pairs builder alive as the
+//! machine-checkable specification the equivalence property tests
+//! compare against.
 
 use pslocal_graph::{
     csr, BitsetGraph, Graph, HyperedgeId, Hypergraph, IndependentSet, KernelStrategy, NodeId,
@@ -90,8 +94,9 @@ pub struct FamilyCounts {
 /// cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BuildStrategy {
-    /// Output-sensitive kernel; shards across threads when the
-    /// estimated edge count clears a threshold.
+    /// Output-sensitive kernel (CSR or dense bit rows, per
+    /// [`KernelStrategy`]); shards across the calling thread's share of
+    /// the CPUs when the estimated edge count clears a threshold.
     #[default]
     Auto,
     /// Output-sensitive kernel, single-threaded.
@@ -241,7 +246,8 @@ impl ConflictGraph {
         let dense = matches!(options.strategy, BuildStrategy::Auto)
             && options.kernel.use_bitset(node_count, estimated_edges);
         if dense {
-            let bits = kernel::build_bitset(h, k, options, &base, &span);
+            let workers = kernel::build_workers(estimated_edges);
+            let bits = kernel::build_bitset(h, k, options, &base, workers, &span);
             let edge_count = bits.edge_count();
             span.add(Counter::CsrBytes, csr_bytes_for(node_count, edge_count));
             return ConflictGraph {
@@ -262,11 +268,7 @@ impl ConflictGraph {
                 kernel::build_fast(h, k, options, &base, kernel::worker_count().max(2), &span)
             }
             BuildStrategy::Auto => {
-                let workers = if estimated_edges >= kernel::PARALLEL_THRESHOLD {
-                    kernel::worker_count()
-                } else {
-                    1
-                };
+                let workers = kernel::build_workers(estimated_edges);
                 kernel::build_fast(h, k, options, &base, workers, &span)
             }
         };
@@ -313,11 +315,11 @@ impl ConflictGraph {
     /// steady-state allocation on the CSR route.
     ///
     /// On the dense route the restricted instance is rebuilt through
-    /// the kernel dispatch instead: re-emitting bit rows costs about as
-    /// much as gathering scattered bit columns would, and the Auto
-    /// resolution re-applies to the (smaller) residual — falling back
-    /// to CSR once the density heuristic stops paying. Identical output
-    /// either way, by the builder equivalence.
+    /// the kernel dispatch instead, so the Auto resolution re-applies
+    /// to the (smaller) residual — falling back to CSR once the density
+    /// heuristic stops paying. Whether compacting the surviving bit
+    /// rows and columns in place would beat the rebuild is unmeasured.
+    /// Identical output either way, by the builder equivalence.
     pub(crate) fn restrict_to_edges_in(
         &self,
         keep: &[HyperedgeId],
@@ -605,24 +607,71 @@ pub(crate) fn csr_bytes_for(nodes: usize, edges: usize) -> u64 {
 /// list of `v` with the (sorted) wedge list of `e`, so each row comes
 /// out sorted and rows are emitted in node order — the shard *is* a
 /// finished CSR fragment. Total work is `O(|E(G_k)| + W)` where
-/// `W = Σ_v deg(v)²` is the wedge count. Workers shard contiguous
-/// block ranges under `std::thread::scope` and the shards concatenate
-/// (no merge pass: row order equals node order).
-mod kernel {
+/// `W = Σ_v deg(v)²` is the wedge count. Both the CSR and the bit-row
+/// build shard contiguous block ranges through one runner
+/// ([`run_shards`]); the CSR shards concatenate (no merge pass: row
+/// order equals node order) and the bit-row shards write disjoint row
+/// slices of one buffer.
+pub(crate) mod kernel {
     use super::ConflictGraphOptions;
     use pslocal_graph::bitset::{set_bit_range, BitsetGraph};
     use pslocal_graph::{csr, Graph, HyperedgeId, Hypergraph, NodeId};
     use pslocal_telemetry::{names, span, Histogram, Sink, Span};
+    use std::cell::Cell;
     use std::ops::Range;
     use std::time::Instant;
 
     /// Estimated `|E(G_k)|` above which [`super::BuildStrategy::Auto`]
-    /// shards the emission across threads. Below it, thread spawn and
-    /// shard-merge bookkeeping cost more than they save.
+    /// shards a build across the calling thread's CPU share (see
+    /// [`build_workers`]): the CSR emission of [`build_fast`] and the
+    /// bit rows of [`build_bitset`] alike. Below it, thread spawn and
+    /// shard bookkeeping cost more than they save.
     pub(super) const PARALLEL_THRESHOLD: usize = 1 << 17;
 
-    pub(super) fn worker_count() -> usize {
+    /// The host's CPUs as the standard library reports them, capped at
+    /// 8: the share of a thread outside any worker pool.
+    pub(crate) fn worker_count() -> usize {
         std::thread::available_parallelism().map(|p| p.get().min(8)).unwrap_or(1)
+    }
+
+    thread_local! {
+        /// The CPUs this thread may spread a build over; `None` on a
+        /// thread outside any worker pool.
+        static CPU_SHARE: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// The CPUs the calling thread may spread a build over:
+    /// [`worker_count`] outside any worker pool, the share its pool
+    /// handed it ([`enter_pool`]) inside one.
+    pub(crate) fn cpu_share() -> usize {
+        CPU_SHARE.with(Cell::get).unwrap_or_else(worker_count)
+    }
+
+    /// The CPU share of each worker of a `pool_threads`-wide pool that
+    /// the calling thread spawns: `max(1, cpu_share() / pool_threads)`.
+    /// Read it on the spawning thread and pass it to [`enter_pool`] on
+    /// every worker, so the pool's workers times their kernel shards
+    /// stay within the caller's CPUs instead of nesting a full-width
+    /// shard inside each worker.
+    pub(crate) fn pool_share(pool_threads: usize) -> usize {
+        (cpu_share() / pool_threads.max(1)).max(1)
+    }
+
+    /// Sets the calling pool worker's CPU share, as read by
+    /// [`pool_share`] on the thread that spawned it.
+    pub(crate) fn enter_pool(share: usize) {
+        CPU_SHARE.with(|s| s.set(Some(share)));
+    }
+
+    /// Shards for an [`super::BuildStrategy::Auto`] build, CSR or bit
+    /// rows: the thread's [`cpu_share`] once the estimated edge count
+    /// reaches [`PARALLEL_THRESHOLD`], else one.
+    pub(super) fn build_workers(estimated_edges: usize) -> usize {
+        if estimated_edges >= PARALLEL_THRESHOLD {
+            cpu_share()
+        } else {
+            1
+        }
     }
 
     /// Cheap upper estimate of `|E(G_k)|` in `O(Σ|e|)`: the `E_edge`
@@ -875,10 +924,14 @@ mod kernel {
         }
     }
 
-    /// Splits `0..m` into at most `parts` contiguous ranges of roughly
-    /// equal squared-block-size weight (the clique term dominates each
-    /// block's emission cost).
-    fn balanced_ranges(base: &[u32], m: usize, parts: usize) -> Vec<Range<usize>> {
+    /// Splits the `m = base.len() - 1` blocks into at most `parts`
+    /// (and at most `m`) contiguous ranges of roughly equal
+    /// squared-block-size weight (the clique term dominates each
+    /// block's emission cost). Hyperedges are never empty, so every
+    /// weight is positive; no blocks give one empty range, so a build
+    /// always has a shard.
+    pub(super) fn balanced_ranges(base: &[u32], parts: usize) -> Vec<Range<usize>> {
+        let m = base.len() - 1;
         let weight = |e: usize| {
             let b = (base[e + 1] - base[e]) as u64;
             b * b
@@ -893,15 +946,62 @@ mod kernel {
                 start = e + 1;
             }
         }
-        if start < m {
+        if start < m || ranges.is_empty() {
             ranges.push(start..m);
         }
         ranges
     }
 
+    /// The one shard runner of both kernels: splits the blocks into
+    /// [`balanced_ranges`] for `workers`, takes each shard's input from
+    /// `input` in shard order on the calling thread, and runs
+    /// `job(range, input)` under a `shard` span (child of `parent`,
+    /// indexed by shard) with a `shard_build_ns` sample of its wall
+    /// time. A single shard runs on the calling thread; more run on one
+    /// `std::thread::scope` worker each. Outputs come back in shard
+    /// order. The timing probe is gated on `S::ENABLED`, so the
+    /// disabled pipeline never touches the clock.
+    fn run_shards<S: Sink, I: Send, T: Send>(
+        base: &[u32],
+        workers: usize,
+        parent: &Span<'_, S>,
+        mut input: impl FnMut(&Range<usize>) -> I,
+        job: impl Fn(Range<usize>, I) -> T + Sync,
+    ) -> Vec<T> {
+        let timed = |i: usize, range: Range<usize>, input: I| {
+            let shard_span = span!(parent, names::SHARD, i);
+            let t0 = S::ENABLED.then(Instant::now);
+            let out = job(range, input);
+            if let Some(t0) = t0 {
+                shard_span.sample(Histogram::ShardBuildNs, t0.elapsed().as_nanos() as u64);
+            }
+            out
+        };
+        let shards: Vec<(Range<usize>, I)> = balanced_ranges(base, workers)
+            .into_iter()
+            .map(|range| {
+                let x = input(&range);
+                (range, x)
+            })
+            .collect();
+        if shards.len() == 1 {
+            return shards.into_iter().map(|(range, x)| timed(0, range, x)).collect();
+        }
+        std::thread::scope(|s| {
+            let timed = &timed;
+            let handles: Vec<_> = shards
+                .into_iter()
+                .enumerate()
+                .map(|(i, (range, x))| s.spawn(move || timed(i, range, x)))
+                .collect();
+            // pslocal: allow(panic-path, "shard workers run pure array code with no panic paths of their own; a panicking worker is a kernel bug that must surface, not yield a truncated kernel")
+            handles.into_iter().map(|j| j.join().expect("kernel worker panicked")).collect()
+        })
+    }
+
     /// The output-sensitive kernel: slot-index once, stream every block
     /// row in sorted node order, concatenate. With `workers > 1`,
-    /// contiguous block ranges run under `std::thread::scope`; because
+    /// contiguous block ranges run as [`run_shards`] workers; because
     /// rows are emitted in node order, shard concatenation **is** the
     /// merge — identical output regardless of `workers`.
     pub(super) fn build_fast<S: Sink>(
@@ -913,67 +1013,32 @@ mod kernel {
         parent: &Span<'_, S>,
     ) -> Graph {
         let idx = SlotIndex::build(h);
-        let m = h.edge_count();
-        let node_count = base[m] as usize;
-        let workers = workers.clamp(1, m.max(1));
-        if workers == 1 {
-            // Single shard: the streamed arrays *are* the CSR — move
-            // them, prepending the zero offset.
-            let shard = timed_shard(h, k, options, base, &idx, 0..m, parent, 0);
-            let mut offsets = Vec::with_capacity(node_count + 1);
-            offsets.push(0u32);
-            offsets.extend_from_slice(&shard.row_ends);
-            return csr::from_raw_parts(offsets, shard.targets);
-        }
-        let shards: Vec<RowShard> = {
-            let idx = &idx;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = balanced_ranges(base, m, workers)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, range)| {
-                        s.spawn(move || timed_shard(h, k, options, base, idx, range, parent, i))
-                    })
-                    .collect();
-                // pslocal: allow(panic-path, "shard workers run pure array code with no panic paths of their own; a panicking worker is a kernel bug that must surface, not yield a truncated kernel")
-                handles.into_iter().map(|j| j.join().expect("kernel worker panicked")).collect()
-            })
-        };
+        let node_count = base[base.len() - 1] as usize;
+        let shards = run_shards(
+            base,
+            workers,
+            parent,
+            |_| (),
+            |range, ()| emit_blocks(h, k, options, base, &idx, range),
+        );
         let total_targets: usize = shards.iter().map(|s| s.targets.len()).sum();
         let mut offsets = Vec::with_capacity(node_count + 1);
         offsets.push(0u32);
-        let mut targets = Vec::with_capacity(total_targets);
+        let mut targets = Vec::new();
         for shard in shards {
             let shift = targets.len() as u32;
             offsets.extend(shard.row_ends.iter().map(|&end| end + shift));
-            targets.extend_from_slice(&shard.targets);
+            if targets.is_empty() {
+                // The first shard's streamed targets become the CSR's
+                // buffer, so a single-shard build moves them.
+                targets = shard.targets;
+                targets.reserve_exact(total_targets - targets.len());
+            } else {
+                targets.extend_from_slice(&shard.targets);
+            }
         }
         debug_assert_eq!(offsets.len(), node_count + 1);
         csr::from_raw_parts(offsets, targets)
-    }
-
-    /// Runs [`emit_blocks`] for one shard under a `shard` span (child
-    /// of the build span), sampling its wall time as `shard_build_ns`.
-    /// The timing probe is gated on `S::ENABLED`, so the disabled
-    /// pipeline never touches the clock.
-    #[allow(clippy::too_many_arguments)]
-    fn timed_shard<S: Sink>(
-        h: &Hypergraph,
-        k: usize,
-        options: ConflictGraphOptions,
-        base: &[u32],
-        idx: &SlotIndex,
-        range: Range<usize>,
-        parent: &Span<'_, S>,
-        shard_index: usize,
-    ) -> RowShard {
-        let shard_span = span!(parent, names::SHARD, shard_index);
-        let t0 = S::ENABLED.then(Instant::now);
-        let shard = emit_blocks(h, k, options, base, idx, range);
-        if let Some(t0) = t0 {
-            shard_span.sample(Histogram::ShardBuildNs, t0.elapsed().as_nanos() as u64);
-        }
-        shard
     }
 
     /// The dense-kernel twin of the streamed CSR build: the same
@@ -989,30 +1054,78 @@ mod kernel {
     /// Each slot's row length is closed-form from its template (see
     /// the length comment in the loop), so no second merge counts it.
     ///
-    /// Serial. Measured on a 2-CPU Xeon host over the phase-0 builds of
-    /// three planted `(n, 8n, 4)` instances, `n ∈ {96, 128, 160}`
-    /// (15–26k nodes, 29–82 MB of rows): splitting the rows into two
-    /// block-range shards on two threads took the builds from 256 ms to
-    /// 173 ms, 1.48×, not 2×. Page-faulting the fresh row buffer alone
-    /// measures 15–49 ms per build there, and the result matches that
-    /// part staying serial. Sharding would also compete for the CPUs
-    /// the component executor and the service pool already use.
+    /// Sharded like [`build_fast`]: [`run_shards`] hands each block
+    /// range its own row slice of the one `n·words` buffer, the shard
+    /// fills exactly those rows (columns stay absolute) and returns
+    /// their lengths, and the lengths prefix-sum into the degree
+    /// offsets after the join. Each row page is first touched by the
+    /// thread that fills it, so the page faults of the fresh buffer
+    /// split across the shards too. Measured on a 2-CPU Xeon host
+    /// (`host_threads` 2) with `perfbench`'s `reduce-dense` workload
+    /// (planted `(n, 8n, 4)`, `n ∈ {96, 128, 160}`), two shards
+    /// against one: `conflict_graph.build_ms` 89.0/83.3/82.9 →
+    /// 65.8/62.6/58.4 ms on three traced runs (1.3–1.4×, not 2×), and
+    /// the median reduction 175.1 → 145.7 ms over 12 alternating
+    /// pairs, 11 won. The shard count is the calling thread's
+    /// [`cpu_share`]: inside the component scheduler's or the
+    /// service's pool each worker gets an even split, so pool workers
+    /// do not each nest a full-width shard (see [`pool_share`]).
     pub(super) fn build_bitset<S: Sink>(
         h: &Hypergraph,
         k: usize,
         options: ConflictGraphOptions,
         base: &[u32],
+        workers: usize,
         parent: &Span<'_, S>,
     ) -> BitsetGraph {
-        let shard_span = span!(parent, names::SHARD, 0);
-        let t0 = S::ENABLED.then(Instant::now);
         let idx = SlotIndex::build(h);
-        let m = h.edge_count();
-        let n = base[m] as usize;
+        let n = base[base.len() - 1] as usize;
         let words = n.div_ceil(64);
         let mut rows = vec![0u64; n * words];
+        let lengths = {
+            // Shards come in node order, so each one takes the next
+            // `rows-in-range · words` words: it starts at row boundary
+            // `base[range.start] · words` of the whole buffer.
+            let mut rest: &mut [u64] = &mut rows;
+            run_shards(
+                base,
+                workers,
+                parent,
+                |range| {
+                    let len = (base[range.end] - base[range.start]) as usize * words;
+                    let (shard, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                    rest = tail;
+                    shard
+                },
+                |range, shard| fill_bit_rows(h, k, options, base, &idx, range, shard),
+            )
+        };
         let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
         offsets.push(0);
+        let mut end = 0u32;
+        offsets.extend(lengths.iter().flatten().map(|&len| {
+            end += len;
+            end
+        }));
+        BitsetGraph::from_raw_parts(n, rows, offsets)
+    }
+
+    /// One [`build_bitset`] shard: writes the bit rows of the triple
+    /// blocks in `range` into `rows`, which holds exactly those rows
+    /// (its first is node `base[range.start]`), and returns their
+    /// lengths in node order.
+    fn fill_bit_rows(
+        h: &Hypergraph,
+        k: usize,
+        options: ConflictGraphOptions,
+        base: &[u32],
+        idx: &SlotIndex,
+        range: Range<usize>,
+        rows: &mut [u64],
+    ) -> Vec<u32> {
+        let words = (base[base.len() - 1] as usize).div_ceil(64);
+        let first = base[range.start];
+        let mut lengths: Vec<u32> = Vec::with_capacity((base[range.end] - first) as usize);
         let mut wedges: Vec<(u32, u32)> = Vec::new();
         // Color-0 template of the current (e, v) slot plus the slot
         // bases of the other blocks containing `v` — shared by all k
@@ -1020,8 +1133,8 @@ mod kernel {
         let mut template = vec![0u64; words];
         let mut self_slots: Vec<u32> = Vec::new();
         let kw = k as u32;
-        for e in 0..m {
-            build_wedges(h, &idx, e, &mut wedges);
+        for e in range {
+            build_wedges(h, idx, e, &mut wedges);
             let members = h.edge(HyperedgeId::new(e));
             for (pv, &v) in members.iter().enumerate() {
                 fill_slot_template(
@@ -1043,7 +1156,8 @@ mod kernel {
                     + (kw - 1 + options.literal_ecolor as u32) * self_slots.len() as u32;
                 for c in 0..kw {
                     let a = base[e] + pv as u32 * kw + c;
-                    let row = &mut rows[a as usize * words..(a as usize + 1) * words];
+                    let r = (a - first) as usize;
+                    let row = &mut rows[r * words..(r + 1) * words];
                     // Sweep and wedge targets: the template shifted from
                     // color 0 to color c, word by word.
                     if c == 0 {
@@ -1071,15 +1185,11 @@ mod kernel {
                             set_bit_range(row, slot + c + 1, slot + kw);
                         }
                     }
-                    let prev = *offsets.last().expect("seeded with 0"); // pslocal: allow(panic-path, "offsets is pushed 0 before the loop, so last() always exists")
-                    offsets.push(prev + len);
+                    lengths.push(len);
                 }
             }
         }
-        if let Some(t0) = t0 {
-            shard_span.sample(Histogram::ShardBuildNs, t0.elapsed().as_nanos() as u64);
-        }
-        BitsetGraph::from_raw_parts(n, rows, offsets)
+        lengths
     }
 
     /// [`emit_row`]'s sweep and wedge arms at **color 0**, written once
@@ -1180,6 +1290,7 @@ mod kernel {
 mod tests {
     use super::*;
     use pslocal_graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
+    use pslocal_telemetry::Histogram;
     use rand::SeedableRng;
 
     fn small() -> (Hypergraph, ConflictGraph) {
@@ -1337,6 +1448,84 @@ mod tests {
         // 2 · 2^31 = 2^32 triples: the u32 block offsets would wrap to 0.
         let h = Hypergraph::from_edges(2, [vec![0, 1]]).unwrap();
         let _ = ConflictGraph::build(&h, 1 << 31);
+    }
+
+    /// The sharded bit-row build is shard-count invariant: every worker
+    /// count yields the one-shard build's rows, offsets, edge count and
+    /// fingerprint, in both `E_color` readings — on a pool-sized
+    /// planted instance, on 15-node blocks whose shard boundaries fall
+    /// inside a 64-bit word, and on a single hyperedge. The one-shard
+    /// build of the small shapes is `to_bitset()` of the CSR kernel.
+    /// Each shard records one `shard` span with one `shard_build_ns`
+    /// sample. On the pool instance the worker counts stop at 9, past
+    /// the 8-CPU cap, instead of spawning `m + 3` threads, and the
+    /// fingerprint (a function of rows and offsets, but a byte-wise
+    /// hash that dominates a debug run) is re-hashed for the widest
+    /// build only.
+    #[test]
+    fn dense_build_is_identical_for_every_shard_count() {
+        use pslocal_telemetry::{Event, MemorySink};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let pool = planted_cf_instance(&mut rng, PlantedCfParams::new(96, 768, 4)).hypergraph;
+        let ring = Hypergraph::from_edges(12, (0..12).map(|i| vec![i, (i + 1) % 12, (i + 2) % 12]))
+            .unwrap();
+        let single = Hypergraph::from_edges(3, [vec![0, 1, 2]]).unwrap();
+        for (h, k, most) in [(&pool, 4, 9), (&ring, 5, 15), (&single, 3, 4)] {
+            let base = block_offsets(h, k);
+            let m = h.edge_count();
+            for literal_ecolor in [false, true] {
+                let options = ConflictGraphOptions { literal_ecolor, ..Default::default() };
+                let tel = Telemetry::disabled();
+                let one = kernel::build_bitset(h, k, options, &base, 1, &tel.span("one"));
+                let fingerprint = one.fingerprint();
+                if m < 100 {
+                    let csr = kernel::build_fast(h, k, options, &base, 1, &tel.span("csr"));
+                    assert_eq!(one, BitsetGraph::from_graph(&csr), "m = {m}");
+                }
+                for workers in [1, 2, 3, 4, most] {
+                    let context =
+                        format!("m = {m}, literal = {literal_ecolor}, workers = {workers}");
+                    let tel = Telemetry::new(MemorySink::new());
+                    let bits = {
+                        let span = tel.span(names::CONFLICT_GRAPH);
+                        kernel::build_bitset(h, k, options, &base, workers, &span)
+                    };
+                    for v in (0..one.node_count()).map(NodeId::new) {
+                        assert!(bits.row(v) == one.row(v), "{context}, row {v:?}");
+                        assert_eq!(bits.degree(v), one.degree(v), "{context}, offset {v:?}");
+                    }
+                    assert_eq!(bits, one, "{context}");
+                    assert_eq!(bits.edge_count(), one.edge_count(), "{context}");
+                    if m < 100 || workers == most {
+                        assert_eq!(bits.fingerprint(), fingerprint, "{context}");
+                    }
+
+                    let ranges = kernel::balanced_ranges(&base, workers);
+                    assert!(ranges.len() <= workers.min(m), "{context}");
+                    if workers > 1 && m > 1 {
+                        assert!(ranges.len() > 1, "{context}: the build must shard");
+                    }
+                    if k == 5 && ranges.len() > 1 {
+                        assert_ne!(base[ranges[1].start] % 64, 0, "{context}: boundary on a word");
+                    }
+                    let sink = tel.sink();
+                    let events = sink.events();
+                    let shards: Vec<_> =
+                        sink.spans().into_iter().filter(|s| s.name == names::SHARD).collect();
+                    assert_eq!(shards.len(), ranges.len(), "{context}: one span per shard");
+                    for shard in &shards {
+                        let samples = events
+                            .iter()
+                            .filter(|e| {
+                                matches!(e, Event::Sample { histogram: Histogram::ShardBuildNs, span, .. }
+                                    if *span == Some(shard.id))
+                            })
+                            .count();
+                        assert_eq!(samples, 1, "{context}: shard {:?}", shard.index);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -38,6 +38,7 @@
 //! by admission sequence number), and per-request latency histograms,
 //! all through the existing [`Sink`] machinery.
 
+use crate::conflict_graph::kernel;
 use crate::protocol::{OUTCOME_DEADLINE_EXCEEDED, OUTCOME_FAILED, OUTCOME_OK};
 use crate::reduction::ReductionError;
 use crate::resilient::{reduce_cf_resilient_with_workspace, ResilientConfig};
@@ -304,13 +305,20 @@ impl<S: Sink + Send + Sync + 'static> Service<S> {
             tel,
         });
         let (tx, results) = mpsc::channel();
-        let workers = (0..config.workers.max(1))
+        let pool = config.workers.max(1);
+        // Service workers times their kernel shards stay within the
+        // starting thread's CPUs.
+        let share = kernel::pool_share(pool);
+        let workers = (0..pool)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 let tx = tx.clone();
                 std::thread::Builder::new()
                     .name(format!("pslocal-service-{i}"))
-                    .spawn(move || worker_loop(shared, tx))
+                    .spawn(move || {
+                        kernel::enter_pool(share);
+                        worker_loop(shared, tx)
+                    })
                     // pslocal: allow(panic-path, "thread spawn fails only on OS resource exhaustion at startup; there is no degraded mode to fall back to")
                     .expect("spawn service worker")
             })
@@ -604,6 +612,49 @@ mod tests {
         fn guarantee(&self) -> ApproxGuarantee {
             GreedyOracle.guarantee()
         }
+    }
+
+    /// A greedy oracle that reports the CPU share of the thread it
+    /// runs on.
+    struct ShareOracle(Mutex<mpsc::Sender<usize>>);
+
+    impl MaxIsOracle for ShareOracle {
+        fn name(&self) -> &'static str {
+            "share"
+        }
+
+        fn independent_set(&self, graph: &Graph) -> IndependentSet {
+            let _ = self.0.lock().unwrap().send(kernel::cpu_share());
+            GreedyOracle.independent_set(graph)
+        }
+
+        fn guarantee(&self) -> ApproxGuarantee {
+            GreedyOracle.guarantee()
+        }
+    }
+
+    #[test]
+    fn service_workers_get_their_share_of_the_callers_cpus() {
+        let cpus = kernel::worker_count();
+        let service = Service::start(ServiceConfig::new(2), Telemetry::disabled());
+        let (tx, rx) = mpsc::channel();
+        for i in 0..4 {
+            let oracle = ShareOracle(Mutex::new(tx.clone()));
+            let request = ServiceRequest::new(
+                format!("r{i}"),
+                planted(i),
+                vec![Box::new(oracle)],
+                ResilientConfig::new(3),
+            );
+            service.submit(request).unwrap();
+        }
+        drop(tx);
+        let report = service.shutdown();
+        assert!(report.drained.iter().all(|r| r.outcome.label() == "ok"));
+        let shares: Vec<usize> = rx.iter().collect();
+        assert!(!shares.is_empty());
+        assert!(shares.iter().all(|&s| s == (cpus / 2).max(1)), "{shares:?} on {cpus} CPUs");
+        assert_eq!(kernel::cpu_share(), cpus, "the starting thread keeps its own share");
     }
 
     #[test]

@@ -11,16 +11,19 @@
 use proptest::prelude::*;
 use pslocal::cfcolor::checker::is_conflict_free;
 use pslocal::core::{
-    reduce_cf_to_maxis, reduce_cf_to_maxis_with_workspace, BuildStrategy, ConflictGraph,
-    ConflictGraphOptions, PhaseWorkspace, ReductionConfig,
+    reduce_cf_to_maxis, reduce_cf_to_maxis_traced, reduce_cf_to_maxis_with_workspace,
+    BuildStrategy, ConflictGraph, ConflictGraphOptions, PhaseWorkspace, ReductionConfig,
+    ReductionOutcome, ResilientConfig, Service, ServiceConfig, ServiceRequest,
 };
 use pslocal::graph::bitset::{BITSET_MAX_NODES, BITSET_MIN_AVG_DEGREE};
 use pslocal::graph::generators::classic::{complete, complete_bipartite, star};
 use pslocal::graph::generators::hyper::{planted_cf_instance, PlantedCfParams};
 use pslocal::graph::{BitsetGraph, BitsetScratch, Graph, Hypergraph, KernelStrategy, NodeId};
-use pslocal::maxis::{GreedyOracle, MaxIsOracle};
-use pslocal::telemetry::Telemetry;
+use pslocal::maxis::{ApproxGuarantee, GreedyOracle, MaxIsOracle};
+use pslocal::telemetry::{names, MemorySink, Telemetry};
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 
 /// The CSR degree-bucket greedy of `GreedyOracle`, returning its picks
 /// in pick order (the oracle itself returns them sorted): one bucket
@@ -302,5 +305,85 @@ fn dense_build_row_popcounts_equal_stored_degrees() {
                 assert!(!bits.has_edge(v, v), "({n}, {m}, {k}) literal = {literal}, node {v:?}");
             }
         }
+    }
+}
+
+/// A greedy oracle that, on its first call, runs a whole dense greedy
+/// reduction of `h` on the thread calling it — a service worker — and
+/// sends the outcome back.
+struct ReduceOnWorker {
+    h: Arc<Hypergraph>,
+    ran: AtomicBool,
+    out: Mutex<mpsc::Sender<ReductionOutcome>>,
+}
+
+impl MaxIsOracle for ReduceOnWorker {
+    fn name(&self) -> &'static str {
+        "reduce-on-worker"
+    }
+
+    fn independent_set(&self, graph: &Graph) -> pslocal::graph::IndependentSet {
+        if !self.ran.swap(true, Ordering::SeqCst) {
+            let out = reduce_cf_to_maxis(&self.h, &GreedyOracle, ReductionConfig::new(4))
+                .expect("reduction on a service worker completes");
+            self.out.lock().unwrap().send(out).unwrap();
+        }
+        GreedyOracle.independent_set(graph)
+    }
+
+    fn guarantee(&self) -> ApproxGuarantee {
+        GreedyOracle.guarantee()
+    }
+}
+
+/// A dense greedy reduction of a `reduce-dense` pool-sized instance
+/// (n = 96, m = 768, k = 4) is the same wherever it runs: on the
+/// calling thread, whose bit-row builds shard across all its CPUs;
+/// with two component threads; and inside a 2-worker `Service`, whose
+/// workers each get half the CPUs — identical records and coloring.
+#[test]
+fn dense_reduction_is_identical_across_cpu_shares() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    let h = Arc::new(planted_cf_instance(&mut rng, PlantedCfParams::new(96, 768, 4)).hypergraph);
+    let tel = Telemetry::new(MemorySink::new());
+    let caller = reduce_cf_to_maxis_traced(&h, &GreedyOracle, ReductionConfig::new(4), &tel)
+        .expect("reduction on the calling thread completes");
+    let spans = tel.sink().spans();
+    let phase0 = spans.iter().find(|s| s.name == names::CONFLICT_GRAPH).expect("phase 0 build");
+    let shards = spans.iter().filter(|s| s.name == names::SHARD && s.parent == Some(phase0.id));
+    let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
+    assert!(cpus < 2 || shards.count() >= 2, "phase 0 builds on several shards");
+    let threaded = reduce_cf_to_maxis(&h, &GreedyOracle, ReductionConfig::new(4).with_threads(2))
+        .expect("reduction with two threads completes");
+
+    let service = Service::start(ServiceConfig::new(2), Telemetry::disabled());
+    let (tx, rx) = mpsc::channel();
+    for (i, seed) in [1u64, 2].into_iter().enumerate() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let small = planted_cf_instance(&mut rng, PlantedCfParams::new(24, 8, 3)).hypergraph;
+        let oracle = ReduceOnWorker {
+            h: Arc::clone(&h),
+            ran: AtomicBool::new(false),
+            out: Mutex::new(tx.clone()),
+        };
+        let request = ServiceRequest::new(
+            format!("r{i}"),
+            small,
+            vec![Box::new(oracle)],
+            ResilientConfig::new(3),
+        );
+        service.submit(request).unwrap();
+    }
+    drop(tx);
+    let report = service.shutdown();
+    assert!(report.drained.iter().all(|r| r.outcome.label() == "ok"));
+    let served: Vec<ReductionOutcome> = rx.iter().collect();
+    assert_eq!(served.len(), 2);
+
+    assert!(is_conflict_free(&h, &caller.coloring));
+    for (route, out) in [("threads 2", &threaded), ("service", &served[0]), ("service", &served[1])]
+    {
+        assert_eq!(out.records, caller.records, "{route}");
+        assert_eq!(out.coloring, caller.coloring, "{route}");
     }
 }
